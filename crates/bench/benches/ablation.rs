@@ -8,6 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use randrecon_core::{pca_dr::PcaDr, udr::Udr, ComponentSelection, Reconstructor};
 use randrecon_data::synthetic::{EigenSpectrum, SyntheticDataset};
 use randrecon_experiments::ablation::{AblationWorkload, SelectionAblation};
+use randrecon_experiments::report::results_table;
 use randrecon_noise::additive::AdditiveRandomizer;
 use randrecon_stats::reconstruction::ReconstructionConfig;
 use randrecon_stats::rng::seeded_rng;
@@ -17,8 +18,8 @@ fn print_accuracy_ablation() {
     let ablation = SelectionAblation {
         workload: AblationWorkload::default(),
     };
-    match ablation.run() {
-        Ok(table) => println!("\n{}", table.to_table()),
+    match ablation.grid().run() {
+        Ok(results) => println!("\n{}", results_table(&results)),
         Err(e) => eprintln!("selection ablation failed: {e}"),
     }
 }

@@ -1,63 +1,46 @@
 //! Micro benchmarks for the substrates the attacks are built on.
 //!
-//! Two groups:
+//! Groups:
 //!
 //! * `substrates` — eigendecomposition, Cholesky, covariance and
 //!   multivariate-normal sampling at the paper's evaluation sizes
 //!   (m = 50 and m = 100 attributes, n = 1000 records).
-//! * `kernels_v1` — the PR-1 perf-trajectory group: matmul,
-//!   cholesky-solve and BE-DR end-to-end throughput at
-//!   n ∈ {500, 5 000, 50 000} records × 64 attributes, with `*_seed`
-//!   entries running the preserved seed implementations
-//!   (`randrecon_bench::*_seed`, `Matrix::matmul_naive`) so speedups are
-//!   measured inside one binary. `scripts/bench_to_json.sh` dumped this
-//!   group to `BENCH_1.json`.
-//! * `kernels_v2` — the PR-2 perf-trajectory group: the Householder +
-//!   implicit-shift QL eigensolver against the pinned Jacobi reference at
-//!   m ∈ {64, 128, 256}, and batched Box–Muller MVN sampling against the
-//!   scalar seed transform at 50 000 records. `eigen/256` vs
-//!   `eigen_jacobi/256` is the tracked ≥5× PR-2 acceptance ratio.
-//! * `kernels_v3` — the PR-3 microkernel group: the 4×8 register-blocked
-//!   `Matrix::matmul` against the preserved PR-1 axpy-sweep blocked kernel
+//! * `kernels_v1` — matmul (against the unblocked `Matrix::matmul_naive`),
+//!   cholesky-solve, covariance and BE-DR end-to-end throughput at
+//!   n ∈ {500, 5 000, 50 000} records × 64 attributes.
+//! * `kernels_v2` — the Householder + implicit-shift QL eigensolver against
+//!   the pinned Jacobi reference at m ∈ {64, 128, 256}, and batched MVN
+//!   sampling at 50 000 records.
+//! * `kernels_v3` — the 4×8 register-blocked `Matrix::matmul` against the
+//!   preserved axpy-sweep blocked kernel
 //!   (`randrecon_bench::matmul_blocked_axpy_seed`) at 256² and 512²;
-//!   `matmul_micro/512` vs `matmul_blocked_seed/512` is the tracked ≥1.5×
-//!   acceptance ratio.
-//! * `streaming` — the bounded-memory group. PR 3: in-memory BE-DR vs the
-//!   two-pass streaming engine over the same 50 k × 64 disguised table
-//!   (`be_dr_in_memory/50000` vs `be_dr_streaming/50000`, the tracked
-//!   ≥0.8× throughput ratio), plus the 500 k × 64 flagship where
-//!   generation, disguising and both attack passes all stream chunk by
-//!   chunk with no `n × m` allocation. PR 4: the remaining streaming
-//!   schemes through the unified driver (`ndr_streaming` / `udr_streaming`
-//!   / `sf_streaming` / `pca_dr_streaming` at 50 k × 64, per-scheme
-//!   throughput), and `be_dr_streaming_seq/50000` — the forced-sequential
-//!   pass 2 against the default double-buffered pipeline, the tracked
-//!   ≥0.95× PR-4 acceptance ratio.
-//! * `pipeline_ring` — the PR-10 group: pass 2 through the N-slot ring
-//!   (depths 4 and 8) against the forced-sequential loop and the pinned
-//!   two-slot depth at 50 k × 64 and 500 k × 64
-//!   (`be_dr_ring4/50000` vs `be_dr_sequential/50000` is the tracked
-//!   ≥0.95× acceptance ratio), plus the `ROW_BLOCK`-panel covariance
-//!   rank-update against the preserved per-row sweep at n = 1000,
-//!   m ∈ {128, 256} (`sample_covariance_n1000/256` vs
-//!   `sample_covariance_rowsweep_n1000/256`, acceptance ≥1.3×).
-//! * `scenario` — the PR-5 scenario-runner group: `run_scenarios` over an
-//!   8-cell grid of *distinct* workloads against a hand-rolled loop over
-//!   the same specs (`runner/8` vs `handrolled/8`); the runner's scheduling
-//!   overhead (grouping, pool dispatch, result scattering) must stay ≤ 5%.
-//! * `journal` — the PR-6 crash-resumability group: the same 8-workload
-//!   grid through `run_scenarios_resumable` (every outcome framed,
-//!   checksummed and appended to a fresh journal file) against the plain
-//!   runner (`journaled/8` vs `plain/8`); the journaling overhead must
-//!   stay ≤ 5%. `scripts/bench_to_json.sh` dumps everything to
-//!   `BENCH_6.json` (`BENCH_5.json` and earlier stay the frozen
-//!   PR-records).
+//!   `matmul_micro/512` vs `matmul_blocked_seed/512` is the carried ≥1.5×
+//!   ratio.
+//! * `streaming` — in-memory BE-DR vs the two-pass streaming engine over the
+//!   same 50 k × 64 disguised table (`be_dr_in_memory/50000` vs
+//!   `be_dr_streaming/50000`, the carried ≥0.8× throughput ratio), the
+//!   other four schemes through the unified driver (`ndr_streaming` /
+//!   `udr_streaming` / `sf_streaming` / `pca_dr_streaming` at 50 k × 64),
+//!   and the 500 k × 64 flagship where generation, disguising and both
+//!   attack passes stream chunk by chunk with no `n × m` allocation.
+//! * `pipeline_ring` — pass 2 through the N-slot ring (depths 2, 4 and 8)
+//!   against the sequential loop at 50 k × 64 and 500 k × 64
+//!   (`be_dr_ring4/50000` vs `be_dr_sequential/50000` is the carried ≥0.95×
+//!   ratio), plus the `ROW_BLOCK`-panel covariance rank-update against the
+//!   preserved per-row sweep at n = 1000, m ∈ {128, 256}
+//!   (`sample_covariance_n1000/256` vs `sample_covariance_rowsweep_n1000/256`,
+//!   the carried ≥1.3× ratio).
+//! * `scenario`, `journal`, `shard`, `supervise`, `moment_merge` — one
+//!   8-workload grid ([`seed_grid_specs`]) through the runner vs a
+//!   hand-rolled loop (≤5% overhead), journaled vs plain (≤5%), sharded in
+//!   process vs plain (≤10%), supervised vs bare sharding (≤5%), and, on the
+//!   streaming engine, moment-merged vs unsplit sharding (≤10%).
+//!
+//! `scripts/bench_to_json.sh` dumps every group to JSON and prints the
+//! carried ratios.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use randrecon_bench::{
-    be_dr_seed, cholesky_solve_seed, covariance_matrix_rowsweep_seed, covariance_matrix_seed,
-    matmul_blocked_axpy_seed, mvn_sample_matrix_seed,
-};
+use randrecon_bench::{covariance_matrix_rowsweep_seed, matmul_blocked_axpy_seed};
 use randrecon_core::be_dr::BeDr;
 use randrecon_core::streaming::{
     ChunkReconstructor, DiscardSink, StreamingBeDr, StreamingDriver, StreamingNdr, StreamingPcaDr,
@@ -67,6 +50,9 @@ use randrecon_core::Reconstructor;
 use randrecon_data::chunks::{SyntheticChunkSource, TableChunkSource};
 use randrecon_data::synthetic::{EigenSpectrum, SyntheticDataset};
 use randrecon_data::DataTable;
+use randrecon_experiments::scenario::{
+    EngineSpec, GridAxis, GridAxisValue, Override, RetryPolicy, ScenarioGrid, ScenarioSpec,
+};
 use randrecon_linalg::decomposition::{eigen_jacobi, Cholesky, SymmetricEigen};
 use randrecon_linalg::Matrix;
 use randrecon_noise::additive::{AdditiveRandomizer, DisguisedChunkSource};
@@ -162,31 +148,21 @@ fn bench_kernels_v1(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("cholesky_solve", n), &n, |b, _| {
             b.iter(|| black_box(chol.solve_matrix(&rhs).unwrap()))
         });
-        group.bench_with_input(BenchmarkId::new("cholesky_solve_seed", n), &n, |b, _| {
-            b.iter(|| black_box(cholesky_solve_seed(&chol, &rhs)))
-        });
 
-        // Single-pass covariance vs the seed's strided per-pair version.
         group.bench_with_input(BenchmarkId::new("covariance", n), &n, |b, _| {
             b.iter(|| black_box(covariance_matrix(&y)))
         });
-        group.bench_with_input(BenchmarkId::new("covariance_seed", n), &n, |b, _| {
-            b.iter(|| black_box(covariance_matrix_seed(&y)))
-        });
 
-        // BE-DR end to end: the acceptance benchmark of PR 1.
+        // BE-DR end to end.
         group.bench_with_input(BenchmarkId::new("be_dr", n), &n, |b, _| {
             b.iter(|| black_box(BeDr::default().reconstruct(&disguised, model).unwrap()))
-        });
-        group.bench_with_input(BenchmarkId::new("be_dr_seed", n), &n, |b, _| {
-            b.iter(|| black_box(be_dr_seed(&disguised, model)))
         });
     }
     group.finish();
 }
 
-/// The PR-2 perf-trajectory group: the eigensolver swap and the batched
-/// sampler, new path vs preserved seed path inside one binary.
+/// The eigensolver against its pinned Jacobi reference, and the batched
+/// sampler.
 fn bench_kernels_v2(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels_v2");
     group.sample_size(10);
@@ -204,20 +180,13 @@ fn bench_kernels_v2(c: &mut Criterion) {
         });
     }
 
-    // MVN sampling at the 50k-row bench-setup size (ROADMAP open item):
-    // batched Box–Muller vs the scalar seed transform, same Cholesky factor.
+    // MVN sampling at the 50k-row bench-setup size.
     let ds = workload(KERNEL_ATTRS);
     let mvn = MultivariateNormal::zero_mean(ds.covariance.clone()).unwrap();
-    let chol_l = Cholesky::new(&ds.covariance).unwrap().l().clone();
     group.bench_with_input(
         BenchmarkId::new("mvn_sample_matrix", 50_000usize),
         &50_000usize,
         |b, _| b.iter(|| black_box(mvn.sample_matrix(50_000, &mut seeded_rng(11)))),
-    );
-    group.bench_with_input(
-        BenchmarkId::new("mvn_sample_matrix_seed", 50_000usize),
-        &50_000usize,
-        |b, _| b.iter(|| black_box(mvn_sample_matrix_seed(&chol_l, 50_000, &mut seeded_rng(11)))),
     );
     group.finish();
 }
@@ -262,19 +231,6 @@ fn bench_streaming(c: &mut Criterion) {
             let mut sink = TableSink::new(KERNEL_ATTRS);
             StreamingBeDr::default()
                 .run(&mut source, model, &mut sink)
-                .unwrap();
-            black_box(sink.into_matrix().unwrap())
-        })
-    });
-    // The forced-sequential pass 2: the double-buffered default above must
-    // hold ≥0.95× of this throughput even on a 1-core box (the overlap is
-    // pure win on multicore, and the two-slot channel is nearly free).
-    group.bench_with_input(BenchmarkId::new("be_dr_streaming_seq", n), &n, |b, _| {
-        b.iter(|| {
-            let mut source = TableChunkSource::new(&disguised, 4_096).unwrap();
-            let mut sink = TableSink::new(KERNEL_ATTRS);
-            StreamingDriver::sequential()
-                .run(&StreamingBeDr::default(), &mut source, model, &mut sink)
                 .unwrap();
             black_box(sink.into_matrix().unwrap())
         })
@@ -415,20 +371,14 @@ fn bench_pipeline_ring(c: &mut Criterion) {
     group.finish();
 }
 
-/// The PR-5 scenario group: the declarative runner against a hand-rolled
-/// loop over the same specs. The grid's axis sweeps the *seed*, so every
-/// scenario is its own workload group and the runner gets no
-/// moment/workload-sharing advantage — the comparison isolates pure
-/// scheduling overhead (grouping, pool dispatch, result scattering), which
-/// must stay ≤ 5% (`runner/8` vs `handrolled/8` in `BENCH_5.json`).
-fn bench_scenario_runner(c: &mut Criterion) {
-    use randrecon_experiments::scenario::{GridAxis, GridAxisValue, Override, ScenarioGrid};
-
-    let mut group = c.benchmark_group("scenario");
-    group.sample_size(10);
-
+/// The 8-workload grid the runner, journal, shard, supervise and
+/// moment-merge groups share: 2 000 × 16 records on `engine`, one axis
+/// sweeping the *seed*, so every cell is its own workload group.
+fn seed_grid_specs(engine: EngineSpec) -> Vec<ScenarioSpec> {
+    let mut base = ScenarioSpec::synthetic_quick("bench", 2_000, 16, 2);
+    base.engine = engine;
     let grid = ScenarioGrid {
-        base: randrecon_experiments::ScenarioSpec::synthetic_quick("bench", 2_000, 16, 2),
+        base,
         axes: vec![GridAxis {
             name: "seed".to_string(),
             values: (0..8u64)
@@ -442,6 +392,20 @@ fn bench_scenario_runner(c: &mut Criterion) {
     };
     let specs = grid.expand_validated().unwrap();
     assert_eq!(specs.len(), 8);
+    specs
+}
+
+/// The scenario group: the declarative runner against a hand-rolled loop
+/// over the same specs. The grid's axis sweeps the *seed*, so every
+/// scenario is its own workload group and the runner gets no
+/// moment/workload-sharing advantage — the comparison isolates pure
+/// scheduling overhead (grouping, pool dispatch, result scattering), which
+/// must stay ≤ 5% (`runner/8` vs `handrolled/8`).
+fn bench_scenario_runner(c: &mut Criterion) {
+    let mut group = c.benchmark_group("scenario");
+    group.sample_size(10);
+
+    let specs = seed_grid_specs(EngineSpec::InMemory);
 
     group.bench_with_input(
         BenchmarkId::new("runner", specs.len()),
@@ -467,28 +431,10 @@ fn bench_scenario_runner(c: &mut Criterion) {
 /// `journaled/8` vs `plain/8` is the tracked ≤5% journaling-overhead
 /// acceptance ratio.
 fn bench_journal(c: &mut Criterion) {
-    use randrecon_experiments::scenario::{
-        GridAxis, GridAxisValue, Override, RetryPolicy, ScenarioGrid,
-    };
-
     let mut group = c.benchmark_group("journal");
     group.sample_size(10);
 
-    let grid = ScenarioGrid {
-        base: randrecon_experiments::ScenarioSpec::synthetic_quick("bench", 2_000, 16, 2),
-        axes: vec![GridAxis {
-            name: "seed".to_string(),
-            values: (0..8u64)
-                .map(|i| GridAxisValue {
-                    label: i.to_string(),
-                    x: None,
-                    overrides: vec![Override::Seed(0xBEC5 + i)],
-                })
-                .collect(),
-        }],
-    };
-    let specs = grid.expand_validated().unwrap();
-    assert_eq!(specs.len(), 8);
+    let specs = seed_grid_specs(EngineSpec::InMemory);
     let path = std::env::temp_dir().join(format!(
         "randrecon-bench-journal-{}.bin",
         std::process::id()
@@ -535,28 +481,10 @@ fn bench_journal(c: &mut Criterion) {
 /// spawn cost is excluded deliberately, since it is platform noise, not
 /// protocol overhead.
 fn bench_shard(c: &mut Criterion) {
-    use randrecon_experiments::scenario::{
-        GridAxis, GridAxisValue, Override, RetryPolicy, ScenarioGrid,
-    };
-
     let mut group = c.benchmark_group("shard");
     group.sample_size(10);
 
-    let grid = ScenarioGrid {
-        base: randrecon_experiments::ScenarioSpec::synthetic_quick("bench", 2_000, 16, 2),
-        axes: vec![GridAxis {
-            name: "seed".to_string(),
-            values: (0..8u64)
-                .map(|i| GridAxisValue {
-                    label: i.to_string(),
-                    x: None,
-                    overrides: vec![Override::Seed(0xBEC5 + i)],
-                })
-                .collect(),
-        }],
-    };
-    let specs = grid.expand_validated().unwrap();
-    assert_eq!(specs.len(), 8);
+    let specs = seed_grid_specs(EngineSpec::InMemory);
     let plan =
         randrecon_experiments::plan_shards(&specs, 2, randrecon_experiments::SplitPolicy::Never)
             .unwrap();
@@ -607,9 +535,6 @@ fn bench_shard(c: &mut Criterion) {
 /// acceptance ratio for PR 8 — liveness reporting and deadline plumbing
 /// must be nearly free when nothing goes wrong.
 fn bench_supervise(c: &mut Criterion) {
-    use randrecon_experiments::scenario::{
-        GridAxis, GridAxisValue, Override, RetryPolicy, ScenarioGrid,
-    };
     use randrecon_experiments::shard::{
         reduce_shard_journals, run_shard_worker_with, shard_heartbeat_path, shard_journal_path,
         WorkerOptions,
@@ -618,21 +543,7 @@ fn bench_supervise(c: &mut Criterion) {
     let mut group = c.benchmark_group("supervise");
     group.sample_size(10);
 
-    let grid = ScenarioGrid {
-        base: randrecon_experiments::ScenarioSpec::synthetic_quick("bench", 2_000, 16, 2),
-        axes: vec![GridAxis {
-            name: "seed".to_string(),
-            values: (0..8u64)
-                .map(|i| GridAxisValue {
-                    label: i.to_string(),
-                    x: None,
-                    overrides: vec![Override::Seed(0xBEC5 + i)],
-                })
-                .collect(),
-        }],
-    };
-    let specs = grid.expand_validated().unwrap();
-    assert_eq!(specs.len(), 8);
+    let specs = seed_grid_specs(EngineSpec::InMemory);
     let plan =
         randrecon_experiments::plan_shards(&specs, 2, randrecon_experiments::SplitPolicy::Never)
             .unwrap();
@@ -695,31 +606,12 @@ fn bench_supervise(c: &mut Criterion) {
 /// frames, recovery, and cross-shard merge must be nearly free against the
 /// reconstruction work itself.
 fn bench_moment_merge(c: &mut Criterion) {
-    use randrecon_experiments::scenario::{
-        EngineSpec, GridAxis, GridAxisValue, Override, RetryPolicy, ScenarioGrid,
-    };
     use randrecon_experiments::SplitPolicy;
 
     let mut group = c.benchmark_group("moment_merge");
     group.sample_size(10);
 
-    let mut base = randrecon_experiments::ScenarioSpec::synthetic_quick("bench", 2_000, 16, 2);
-    base.engine = EngineSpec::Streaming { chunk_rows: 256 };
-    let grid = ScenarioGrid {
-        base,
-        axes: vec![GridAxis {
-            name: "seed".to_string(),
-            values: (0..8u64)
-                .map(|i| GridAxisValue {
-                    label: i.to_string(),
-                    x: None,
-                    overrides: vec![Override::Seed(0xBEC5 + i)],
-                })
-                .collect(),
-        }],
-    };
-    let specs = grid.expand_validated().unwrap();
-    assert_eq!(specs.len(), 8);
+    let specs = seed_grid_specs(EngineSpec::Streaming { chunk_rows: 256 });
     let dir = std::env::temp_dir().join(format!("randrecon-bench-moments-{}", std::process::id()));
 
     for (policy, label) in [

@@ -12,44 +12,14 @@
 //!   change — which is itself a finding worth demonstrating).
 
 use crate::config::{figure_1_to_3_set, ExperimentSeries, SchemeKind};
-use crate::error::{ExperimentError, Result};
+use crate::error::Result;
 use crate::scenario::{
     series_from_results, AttackSpec, DataSpec, EngineSpec, GridAxis, GridAxisValue, MetricKind,
-    NoiseSpec, Override, ScenarioGrid, ScenarioSpec, SpectrumSpec,
+    NoiseSpec, Override, ScenarioGrid, ScenarioResult, ScenarioSpec, SpectrumSpec,
 };
 use randrecon_core::ComponentSelection;
 use randrecon_stats::rng::child_seed;
 use serde::{Deserialize, Serialize};
-
-/// A labelled single-number result, used by the ablations that do not sweep a
-/// numeric axis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AblationRow {
-    /// Human-readable description of the variant.
-    pub label: String,
-    /// RMSE of the variant.
-    pub rmse: f64,
-}
-
-/// A labelled table of ablation rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AblationTable {
-    /// Name of the ablation.
-    pub name: String,
-    /// The rows.
-    pub rows: Vec<AblationRow>,
-}
-
-impl AblationTable {
-    /// Renders the table as fixed-width text.
-    pub fn to_table(&self) -> String {
-        let mut out = format!("# {}\n", self.name);
-        for row in &self.rows {
-            out.push_str(&format!("{:<40} {:>10.4}\n", row.label, row.rmse));
-        }
-        out
-    }
-}
 
 /// Shared workload parameters for the ablations.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -135,12 +105,13 @@ pub struct SelectionAblation {
 }
 
 impl SelectionAblation {
-    /// Runs PCA-DR with each selection rule on the same disguised data set
-    /// (a one-axis scenario grid over the selection rule; the pinned seeds
-    /// make every variant attack the identical disguised table).
-    pub fn run(&self) -> Result<AblationTable> {
+    /// PCA-DR with each selection rule on the same disguised data set (a
+    /// one-axis scenario grid over the selection rule; the pinned seeds make
+    /// every variant attack the identical disguised table).
+    pub fn grid(&self) -> ScenarioGrid {
         let p_true = self.workload.principal_components;
-        let variants: Vec<(String, ComponentSelection)> = vec![
+        let too_many = (p_true * 3).min(self.workload.attributes);
+        let variants = [
             (
                 "largest gap (paper default)".to_string(),
                 ComponentSelection::LargestGap,
@@ -150,11 +121,8 @@ impl SelectionAblation {
                 ComponentSelection::FixedCount(p_true),
             ),
             (
-                format!(
-                    "fixed count p = {} (too many)",
-                    (p_true * 3).min(self.workload.attributes)
-                ),
-                ComponentSelection::FixedCount((p_true * 3).min(self.workload.attributes)),
+                format!("fixed count p = {too_many} (too many)"),
+                ComponentSelection::FixedCount(too_many),
             ),
             (
                 "fixed count p = 1 (too few)".to_string(),
@@ -169,39 +137,20 @@ impl SelectionAblation {
                 ComponentSelection::VarianceFraction(0.99),
             ),
         ];
-        let grid = ScenarioGrid {
+        ScenarioGrid {
             base: self.workload.base_spec("ablation-selection"),
             axes: vec![GridAxis {
                 name: "selection".to_string(),
                 values: variants
-                    .iter()
+                    .into_iter()
                     .map(|(label, selection)| GridAxisValue {
-                        label: label.clone(),
+                        label,
                         x: None,
-                        overrides: vec![Override::Attack(AttackSpec::PcaDr {
-                            selection: *selection,
-                        })],
+                        overrides: vec![Override::Attack(AttackSpec::PcaDr { selection })],
                     })
                     .collect(),
             }],
-        };
-        let results = grid.run()?;
-        Ok(AblationTable {
-            name: "PCA-DR component-selection ablation".to_string(),
-            rows: variants
-                .into_iter()
-                .zip(results)
-                .map(|((label, _), result)| {
-                    let rmse = result
-                        .rmse()
-                        .ok_or_else(|| ExperimentError::MetricMissing {
-                            label: result.label.clone(),
-                            metric: "rmse",
-                        })?;
-                    Ok(AblationRow { label, rmse })
-                })
-                .collect::<Result<Vec<_>>>()?,
-        })
+        }
     }
 }
 
@@ -236,16 +185,11 @@ impl NoiseLevelAblation {
         }
     }
 
-    /// Runs the sweep, returning a series with σ on the x-axis. One shared
-    /// data set (the pinned dataset seed), a fresh disguise per σ
+    /// The σ sweep crossed with the scheme set: one shared data set (the
+    /// pinned dataset seed), a fresh disguise per σ
     /// (`child_seed(seed, σ.to_bits())`, the historical seeding).
-    pub fn run(&self) -> Result<ExperimentSeries> {
-        if self.sigmas.is_empty() || self.sigmas.iter().any(|&s| !(s > 0.0 && s.is_finite())) {
-            return Err(ExperimentError::InvalidConfig {
-                reason: "noise sigmas must be a non-empty list of positive numbers".to_string(),
-            });
-        }
-        let grid = ScenarioGrid {
+    pub fn grid(&self) -> ScenarioGrid {
+        ScenarioGrid {
             base: self.workload.base_spec("ablation-noise-level"),
             axes: vec![
                 GridAxis {
@@ -268,13 +212,21 @@ impl NoiseLevelAblation {
                 },
                 GridAxis::schemes(&self.schemes),
             ],
-        };
-        let results = grid.run()?;
-        Ok(series_from_results(
+        }
+    }
+
+    /// Regroups the grid's results into a series with σ on the x-axis.
+    pub fn series(&self, results: &[ScenarioResult]) -> ExperimentSeries {
+        series_from_results(
             "Ablation: disguising-noise level",
             "noise standard deviation",
-            &results,
-        ))
+            results,
+        )
+    }
+
+    /// Runs the sweep and returns its series.
+    pub fn run(&self) -> Result<ExperimentSeries> {
+        Ok(self.series(&self.grid().run()?))
     }
 }
 
@@ -309,16 +261,11 @@ impl SampleSizeAblation {
         }
     }
 
-    /// Runs the sweep, returning a series with the record count on the x-axis
-    /// (fresh data per count, seeded `child_seed(seed, n)` as historically).
-    pub fn run(&self) -> Result<ExperimentSeries> {
-        if self.record_counts.is_empty() || self.record_counts.iter().any(|&n| n < 2) {
-            return Err(ExperimentError::InvalidConfig {
-                reason: "record counts must be a non-empty list of values >= 2".to_string(),
-            });
-        }
+    /// The record-count sweep crossed with the scheme set (fresh data per
+    /// count, seeded `child_seed(seed, n)` as historically).
+    pub fn grid(&self) -> ScenarioGrid {
         let w = &self.workload;
-        let grid = ScenarioGrid {
+        ScenarioGrid {
             base: w.base_spec("ablation-sample-size"),
             axes: vec![
                 GridAxis {
@@ -347,13 +294,22 @@ impl SampleSizeAblation {
                 },
                 GridAxis::schemes(&self.schemes),
             ],
-        };
-        let results = grid.run()?;
-        Ok(series_from_results(
+        }
+    }
+
+    /// Regroups the grid's results into a series with the record count on
+    /// the x-axis.
+    pub fn series(&self, results: &[ScenarioResult]) -> ExperimentSeries {
+        series_from_results(
             "Ablation: adversary sample size",
             "number of records",
-            &results,
-        ))
+            results,
+        )
+    }
+
+    /// Runs the sweep and returns its series.
+    pub fn run(&self) -> Result<ExperimentSeries> {
+        Ok(self.series(&self.grid().run()?))
     }
 }
 
@@ -365,45 +321,23 @@ pub struct NoiseShapeAblation {
 }
 
 impl NoiseShapeAblation {
-    /// Runs BE-DR and UDR against both noise shapes (a {noise × scheme}
-    /// scenario grid over one shared data set, disguise seed pinned to
+    /// BE-DR and UDR against both noise shapes (a {noise × scheme} scenario
+    /// grid over one shared data set, disguise seed pinned to
     /// `child_seed(seed, 2)` as historically).
-    pub fn run(&self) -> Result<AblationTable> {
+    pub fn grid(&self) -> ScenarioGrid {
         let sigma = self.workload.noise_sigma;
-        let noises = [
-            ("gaussian noise", NoiseSpec::Gaussian { sigma }),
-            ("uniform noise", NoiseSpec::Uniform { sigma }),
-        ];
-        let schemes = [SchemeKind::Udr, SchemeKind::BeDr];
         let mut base = self.workload.base_spec("ablation-noise-shape");
         base.noise_seed = Some(child_seed(self.workload.seed, 2));
-        let grid = ScenarioGrid {
+        ScenarioGrid {
             base,
-            axes: vec![GridAxis::noises(&noises), GridAxis::schemes(&schemes)],
-        };
-        let results = grid.run()?;
-        // Row labels derive from the same arrays the axes were built from,
-        // in the grid's row-major expansion order.
-        let labels = noises.iter().flat_map(|(noise_label, _)| {
-            schemes
-                .iter()
-                .map(move |scheme| format!("{noise_label} / {}", scheme.label()))
-        });
-        Ok(AblationTable {
-            name: "Noise-shape ablation (equal variance)".to_string(),
-            rows: labels
-                .zip(results)
-                .map(|(label, result)| {
-                    let rmse = result
-                        .rmse()
-                        .ok_or_else(|| ExperimentError::MetricMissing {
-                            label: result.label.clone(),
-                            metric: "rmse",
-                        })?;
-                    Ok(AblationRow { label, rmse })
-                })
-                .collect::<Result<Vec<_>>>()?,
-        })
+            axes: vec![
+                GridAxis::noises(&[
+                    ("gaussian noise", NoiseSpec::Gaussian { sigma }),
+                    ("uniform noise", NoiseSpec::Uniform { sigma }),
+                ]),
+                GridAxis::schemes(&[SchemeKind::Udr, SchemeKind::BeDr]),
+            ],
+        }
     }
 }
 
@@ -416,10 +350,11 @@ mod tests {
         let ablation = SelectionAblation {
             workload: AblationWorkload::quick(),
         };
-        let table = ablation.run().unwrap();
-        assert_eq!(table.rows.len(), 6);
-        let gap = table.rows[0].rmse;
-        let oracle = table.rows[1].rmse;
+        let results = ablation.grid().run().unwrap();
+        assert_eq!(results.len(), 6);
+        let rmse = |i: usize| results[i].rmse().unwrap();
+        let gap = rmse(0);
+        let oracle = rmse(1);
         // The largest-gap rule should find (approximately) the oracle count on
         // this clean spectrum.
         assert!(
@@ -427,9 +362,8 @@ mod tests {
             "gap {gap} vs oracle {oracle}"
         );
         // Keeping only 1 component discards real information and is worse.
-        let too_few = &table.rows[3];
-        assert!(too_few.rmse > oracle);
-        assert!(table.to_table().contains("largest gap"));
+        assert!(rmse(3) > oracle);
+        assert!(crate::report::results_table(&results).contains("largest gap"));
     }
 
     #[test]
@@ -466,22 +400,19 @@ mod tests {
         let ablation = NoiseShapeAblation {
             workload: AblationWorkload::quick(),
         };
-        let table = ablation.run().unwrap();
-        assert_eq!(table.rows.len(), 4);
+        let results = ablation.grid().run().unwrap();
+        assert_eq!(results.len(), 4);
         // BE-DR under gaussian vs uniform noise of the same variance should be
         // in the same ballpark (both rely only on second moments).
-        let be_gauss = table
-            .rows
-            .iter()
-            .find(|r| r.label.contains("gaussian") && r.label.contains("BE-DR"))
-            .unwrap()
-            .rmse;
-        let be_unif = table
-            .rows
-            .iter()
-            .find(|r| r.label.contains("uniform") && r.label.contains("BE-DR"))
-            .unwrap()
-            .rmse;
+        let be_rmse = |noise: &str| {
+            results
+                .iter()
+                .find(|r| r.label.contains(noise) && r.label.contains("BE-DR"))
+                .and_then(|r| r.rmse())
+                .unwrap()
+        };
+        let be_gauss = be_rmse("gaussian");
+        let be_unif = be_rmse("uniform");
         assert!(
             (be_gauss - be_unif).abs() / be_gauss < 0.25,
             "{be_gauss} vs {be_unif}"

@@ -1,16 +1,24 @@
-//! The declarative scenario sweep: one grid, one runner invocation, the
-//! whole {scheme × noise × engine} matrix — fail-soft, crash-resumable,
-//! and shardable across worker processes.
+//! The one experiment binary: runs a named grid from the registry
+//! ([`randrecon_experiments::grids`]) — fail-soft, crash-resumable, and
+//! shardable across worker processes.
 //!
-//! Usage: `cargo run --release -p randrecon-experiments --bin scenarios
-//! [--smoke] [--journal <path> [--resume]] [--shards <n> [--shard-dir <dir>]]`
+//! Usage: `cargo run --release -p randrecon-experiments --bin scenarios --
+//! [--grid <name>] [--smoke] [--journal <path> [--resume]] [--shards <n>
+//! [--shard-dir <dir>]]`
 //!
-//! * default — 20 k × 32 records: 5 schemes × 3 noise models (independent
-//!   Gaussian, independent uniform, correlated-similar) × both engines
-//!   = 30 scenarios expanded from one spec and executed in one runner
-//!   call. Results go to `results/scenarios.{csv,json}`.
-//! * `--smoke` — the same 30-cell grid at 2 k × 12 (the tier-1 CI smoke:
-//!   every scheme through every engine and noise model in seconds).
+//! * `--grid <name>` — the registered grid to run (default `sweep`):
+//!   `sweep` (5 schemes × 3 noise models — independent Gaussian,
+//!   independent uniform, correlated-similar — × both engines = 30 cells,
+//!   20 k × 32 records), `figure1` … `figure4`, `figures` (all four),
+//!   `ablation` (all four ablations), `streaming` (the five-scheme
+//!   streaming comparison at 50 k × 64) and `streaming-500k` (the same at
+//!   500 k × 64). A name holding several grids runs all their cells as one
+//!   sweep. Outcomes go to `results/<name>.{csv,json}`; figure-shaped grids
+//!   (the four figures, the noise-level and sample-size ablations) also
+//!   print their series tables and write their series CSVs to `results/`.
+//!   An unknown name is a usage error that lists the registered names.
+//! * `--smoke` — every grid at its quick size (`sweep`: the same 30 cells
+//!   at 2 k × 12, the tier-1 CI smoke; `streaming`: 10 k × 16).
 //! * `--journal <path>` — append every outcome to a crash-safe result
 //!   journal as it lands. If the journal already has content, the sweep
 //!   refuses to run unless `--resume` is also given.
@@ -20,10 +28,10 @@
 //!   `--shards`, applies to the per-shard journals in `--shard-dir`.
 //! * `--shards <n>` — **coordinator mode**: split the grid into up to `n`
 //!   workload-group-aligned shards, re-exec this binary once per shard as
-//!   a worker process (restarting dead workers, which resume from their
-//!   shard journals), then merge the shard journals into a report
-//!   bit-identical to a single-process run. `--shard-dir` places the
-//!   shard journals (default `results/shards`).
+//!   a worker process (forwarding `--grid` and `--smoke`; restarting dead
+//!   workers, which resume from their shard journals), then merge the
+//!   shard journals into a report bit-identical to a single-process run.
+//!   `--shard-dir` places the shard journals (default `results/shards`).
 //! * `--worker-timeout <secs>` — coordinator-mode watchdog: workers write
 //!   heartbeat frames next to their shard journals, and a worker whose
 //!   heartbeat stalls past this many seconds is killed and restarted
@@ -55,58 +63,38 @@
 //! run at the same depth.
 //!
 //! The sweep is **fail-soft**: a failing or panicking cell is reported in
-//! the failure section instead of killing the sweep, and the process exits
-//! nonzero iff any cell failed — cells that *degraded* (completed through
-//! a numerical fallback, e.g. the eigenvalue-clipped SPD repair) are
-//! counted and rendered separately but do not fail the sweep. Every
-//! top-level mode prints an `outcome hash:` line — a wall-clock-independent
-//! FNV-1a digest of all outcomes — which CI compares across sharded and
-//! single-process runs.
+//! the failure section instead of killing the sweep — cells that *degraded*
+//! (completed through a numerical fallback, e.g. the eigenvalue-clipped SPD
+//! repair) are counted and rendered separately but do not fail the sweep.
+//! After the result files are written, the sanity checks
+//! ([`randrecon_experiments::report::sanity_checks`]: finite RMSEs, and
+//! cells differing only in their engine within 15% of each other) print
+//! one line per problem. The process exits 1 iff a cell failed or a sanity
+//! check did. Every top-level mode prints an `outcome hash:` line — a
+//! wall-clock-independent FNV-1a digest of all outcomes — which CI compares
+//! across sharded and single-process runs.
 
 use randrecon_experiments::fault::{format_crash_point, parse_crash_point, WorkerHang, WorkerKill};
+use randrecon_experiments::grids;
 use randrecon_experiments::journal::CrashPoint;
 use randrecon_experiments::report::{
-    outcomes_hash, outcomes_summary, outcomes_table, write_outcomes_csv, write_outcomes_json,
+    outcomes_hash, outcomes_summary, outcomes_table, render_report, sanity_checks,
+    write_outcomes_csv, write_outcomes_json, write_report_csvs, ENGINE_AGREEMENT,
 };
 use randrecon_experiments::scenario::{
-    dataset_generations, EngineSpec, GridAxis, MetricKind, NoiseSpec, RetryPolicy, ScenarioGrid,
-    ScenarioOutcome, ScenarioSpec,
+    dataset_generations, RetryPolicy, ScenarioOutcome, ScenarioSpec,
 };
 use randrecon_experiments::shard::{
     plan_shards, run_shard_worker_with, run_sharded, shard_heartbeat_path, shard_journal_path,
     MomentTask, ShardSlice, ShardedRunConfig, SplitPolicy, WorkerOptions,
 };
-use randrecon_experiments::SchemeKind;
+use randrecon_experiments::ExperimentSeries;
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::Duration;
 
-fn sweep_grid(records: usize, attributes: usize, chunk_rows: usize) -> ScenarioGrid {
-    let mut base =
-        ScenarioSpec::synthetic_quick("sweep", records, attributes, (attributes / 4).max(1));
-    base.metrics = vec![MetricKind::Rmse, MetricKind::Mse];
-    base.seed = 0x5EED_5EEE;
-    ScenarioGrid {
-        base,
-        axes: vec![
-            GridAxis::noises(&[
-                ("gaussian", NoiseSpec::Gaussian { sigma: 10.0 }),
-                ("uniform", NoiseSpec::Uniform { sigma: 10.0 }),
-                (
-                    "correlated",
-                    NoiseSpec::CorrelatedSimilar {
-                        similarity: 0.5,
-                        noise_variance: 100.0,
-                    },
-                ),
-            ]),
-            GridAxis::engines(&[EngineSpec::InMemory, EngineSpec::Streaming { chunk_rows }]),
-            GridAxis::schemes(&SchemeKind::all()),
-        ],
-    }
-}
-
 struct Args {
+    grid: String,
     smoke: bool,
     journal: Option<PathBuf>,
     resume: bool,
@@ -124,6 +112,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
+        grid: grids::DEFAULT.to_string(),
         smoke: false,
         journal: None,
         resume: false,
@@ -141,6 +130,10 @@ fn parse_args() -> Result<Args, String> {
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
+            "--grid" => match iter.next() {
+                Some(name) => args.grid = name,
+                None => return Err("--grid needs a grid name".to_string()),
+            },
             "--smoke" => args.smoke = true,
             "--resume" => args.resume = true,
             "--journal" => match iter.next() {
@@ -351,6 +344,7 @@ fn run_coordinator(args: &Args, specs: &[ScenarioSpec]) -> Vec<ScenarioOutcome> 
             );
         }
         let mut command = Command::new(&exe);
+        command.arg("--grid").arg(&args.grid);
         if args.smoke {
             command.arg("--smoke");
         }
@@ -408,29 +402,59 @@ fn run_coordinator(args: &Args, specs: &[ScenarioSpec]) -> Vec<ScenarioOutcome> 
     }
 }
 
-fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("usage error: {e}");
-            eprintln!(
-                "usage: scenarios [--smoke] [--journal <path> [--resume]] \
-                 [--shards <n> [--moment-merge] [--shard-dir <dir>] [--resume] \
-                 [--worker-timeout <secs>] [--kill-shard <spec>] \
-                 [--hang-shard <shard>:<records>]] \
-                 [--shard-range <slice> --journal <path> [--moment-task <t>]... \
-                 [--crash <point>] [--hang <records>]]"
-            );
-            std::process::exit(2);
-        }
-    };
-    let grid = if args.smoke {
-        sweep_grid(2_000, 12, 256)
-    } else {
-        sweep_grid(20_000, 32, 2_048)
-    };
+const USAGE: &str = "usage: scenarios [--grid <name>] [--smoke] [--journal <path> [--resume]] \
+     [--shards <n> [--moment-merge] [--shard-dir <dir>] [--resume] \
+     [--worker-timeout <secs>] [--kill-shard <spec>] \
+     [--hang-shard <shard>:<records>]] \
+     [--shard-range <slice> --journal <path> [--moment-task <t>]... \
+     [--crash <point>] [--hang <records>]]";
 
-    let specs = match grid.expand_validated() {
+fn usage_error(message: &str) -> ! {
+    eprintln!("usage error: {message}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// Writes `results/<grid>.{csv,json}` and, for figure-shaped grids, the
+/// series CSVs. A write failure is a warning: the report is already on
+/// stdout.
+fn write_results(grid: &str, outcomes: &[ScenarioOutcome], series: &[ExperimentSeries]) {
+    if let Err(e) = std::fs::create_dir_all("results") {
+        eprintln!("warning: could not create results dir: {e}");
+        return;
+    }
+    let csv = format!("results/{grid}.csv");
+    match write_outcomes_csv(outcomes, &csv) {
+        Ok(()) => println!("wrote {csv}"),
+        Err(e) => eprintln!("warning: could not write CSV: {e}"),
+    }
+    let json = format!("results/{grid}.json");
+    match write_outcomes_json(outcomes, &json) {
+        Ok(()) => println!("wrote {json}"),
+        Err(e) => eprintln!("warning: could not write JSON: {e}"),
+    }
+    if !series.is_empty() {
+        match write_report_csvs(series, "results") {
+            Ok(paths) => {
+                for path in paths {
+                    println!("wrote {}", path.display());
+                }
+            }
+            Err(e) => eprintln!("warning: could not write series CSVs: {e}"),
+        }
+    }
+}
+
+fn main() {
+    let args = parse_args().unwrap_or_else(|e| usage_error(&e));
+    let Some(named) = grids::lookup(&args.grid, args.smoke) else {
+        usage_error(&format!(
+            "unknown grid '{}'; registered grids: {}",
+            args.grid,
+            grids::names().collect::<Vec<_>>().join(", ")
+        ));
+    };
+    let specs = match grids::expand(&named) {
         Ok(specs) => specs,
         Err(e) => fail("grid expansion failed", e),
     };
@@ -441,9 +465,10 @@ fn main() {
     }
 
     println!(
-        "expanded {} scenarios from one spec ({} axes)",
+        "expanded {} scenarios from grid '{}' ({} base spec(s))",
         specs.len(),
-        grid.axes.len()
+        args.grid,
+        named.len()
     );
 
     let start = std::time::Instant::now();
@@ -493,6 +518,10 @@ fn main() {
         }
     };
     println!("{}", outcomes_table(&outcomes));
+    let series = grids::series(&named, &outcomes);
+    if !series.is_empty() {
+        println!("{}", render_report(&series));
+    }
     println!(
         "{} in {:.1?}",
         outcomes_summary(&outcomes, resumed),
@@ -503,76 +532,31 @@ fn main() {
     // cells differ only in noise/attack this equals data-groups × trials,
     // not workload-groups × trials (CI asserts the smoke-grid value).
     println!("datasets generated: {}", dataset_generations());
-
-    let failed = outcomes.iter().filter(|o| o.is_failed()).count();
-    let degraded = outcomes.iter().filter(|o| o.is_degraded()).count();
-    let results: Vec<_> = outcomes
-        .iter()
-        .filter_map(ScenarioOutcome::as_completed)
-        .collect();
-
-    // Cross-engine sanity: the same scheme under the same noise model must
-    // agree between engines. The engines share estimators but not noise
-    // streams (the disguise realizations differ), so agreement is
-    // statistical — within a few percent at these sizes, not bitwise. Only
-    // checkable when both engine cells completed.
-    for r in &results {
-        assert!(
-            r.rmse().unwrap_or(f64::NAN).is_finite(),
-            "non-finite RMSE in {}",
-            r.label
+    let checks = sanity_checks(&outcomes);
+    if checks.pairs > 0 {
+        println!(
+            "cross-engine agreement: {} cell pair(s) checked against a {:.0}% tolerance",
+            checks.pairs,
+            ENGINE_AGREEMENT * 100.0
         );
     }
-    let mut agreement_checked = 0;
-    for noise in ["gaussian", "uniform", "correlated"] {
-        for scheme in SchemeKind::all() {
-            let rmse_on = |engine: &str| {
-                results
-                    .iter()
-                    .find(|r| {
-                        r.label.contains(&format!("noise={noise}/"))
-                            && r.label.contains(engine)
-                            && r.scheme == Some(scheme)
-                    })
-                    .and_then(|r| r.rmse())
-            };
-            let (Some(in_memory), Some(streaming)) =
-                (rmse_on("engine=in-memory"), rmse_on("engine=streaming"))
-            else {
-                continue; // cell failed; already counted and reported above
-            };
-            assert!(
-                (in_memory - streaming).abs() / in_memory < 0.15,
-                "{noise}/{}: engines disagree (in-memory {in_memory} vs streaming {streaming})",
-                scheme.label()
-            );
-            agreement_checked += 1;
-        }
-    }
-    println!(
-        "cross-engine agreement: {agreement_checked} scheme x noise pairs within 15% \
-         across engines"
-    );
 
-    if let Err(e) = std::fs::create_dir_all("results") {
-        eprintln!("warning: could not create results dir: {e}");
-        std::process::exit(if failed > 0 { 1 } else { 0 });
-    }
-    match write_outcomes_csv(&outcomes, "results/scenarios.csv") {
-        Ok(()) => println!("wrote results/scenarios.csv"),
-        Err(e) => eprintln!("warning: could not write CSV: {e}"),
-    }
-    match write_outcomes_json(&outcomes, "results/scenarios.json") {
-        Ok(()) => println!("wrote results/scenarios.json"),
-        Err(e) => eprintln!("warning: could not write JSON: {e}"),
+    write_results(&args.grid, &outcomes, &series);
+
+    for problem in &checks.problems {
+        eprintln!("sanity check failed: {problem}");
     }
     // Degraded cells completed (through a numerical fallback) and carry
     // usable metrics, so they are surfaced but do not fail the sweep.
+    let degraded = outcomes.iter().filter(|o| o.is_degraded()).count();
     if degraded > 0 {
         eprintln!("{degraded} scenario(s) degraded (completed via numerical fallback)");
     }
+    let failed = outcomes.iter().filter(|o| o.is_failed()).count();
     if failed > 0 {
         eprintln!("{failed} scenario(s) failed");
+    }
+    if failed > 0 || !checks.problems.is_empty() {
         std::process::exit(1);
     }
 }

@@ -47,14 +47,6 @@ pub enum ExperimentError {
         /// The scenario that carried the fault spec.
         label: String,
     },
-    /// A requested metric is missing from a result (a report asked for a
-    /// metric the scenario did not compute).
-    MetricMissing {
-        /// The scenario label.
-        label: String,
-        /// The metric's display name.
-        metric: &'static str,
-    },
     /// Propagated failure from workload generation.
     Data(DataError),
     /// Propagated failure from the randomization layer.
@@ -112,9 +104,6 @@ impl fmt::Display for ExperimentError {
             }
             ExperimentError::InjectedFault { label } => {
                 write!(f, "injected fault (testing support) in scenario '{label}'")
-            }
-            ExperimentError::MetricMissing { label, metric } => {
-                write!(f, "scenario '{label}' did not compute metric '{metric}'")
             }
             ExperimentError::Data(e) => write!(f, "data error: {e}"),
             ExperimentError::Noise(e) => write!(f, "noise error: {e}"),
@@ -196,11 +185,6 @@ mod tests {
         };
         assert!(e.to_string().contains("sweep.journal"));
         assert!(e.to_string().contains("fingerprint"));
-        let e = ExperimentError::MetricMissing {
-            label: "cell".into(),
-            metric: "rmse",
-        };
-        assert!(e.to_string().contains("rmse"));
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! more attributes.
 
 use crate::config::{figure_1_to_3_set, ExperimentSeries, SchemeKind};
-use crate::error::{ExperimentError, Result};
+use crate::error::Result;
 use crate::scenario::{
     series_from_results, DataSpec, GridAxis, GridAxisValue, NoiseSpec, Override, ScenarioGrid,
-    ScenarioSpec, SpectrumSpec,
+    ScenarioResult, ScenarioSpec, SpectrumSpec,
 };
 use serde::{Deserialize, Serialize};
 
@@ -58,7 +58,7 @@ impl Default for Experiment1 {
 }
 
 impl Experiment1 {
-    /// The full-size configuration used by the `figure1` binary and bench.
+    /// The full-size configuration (`scenarios --grid figure1`, the bench).
     pub fn full() -> Self {
         Self::default()
     }
@@ -71,32 +71,6 @@ impl Experiment1 {
             trials: 1,
             ..Self::default()
         }
-    }
-
-    fn validate(&self) -> Result<()> {
-        if self.attribute_counts.is_empty() {
-            return Err(ExperimentError::InvalidConfig {
-                reason: "attribute_counts must not be empty".to_string(),
-            });
-        }
-        if self
-            .attribute_counts
-            .iter()
-            .any(|&m| m < self.principal_components)
-        {
-            return Err(ExperimentError::InvalidConfig {
-                reason: format!(
-                    "every attribute count must be >= the number of principal components ({})",
-                    self.principal_components
-                ),
-            });
-        }
-        if self.trials == 0 || self.records < 2 || self.schemes.is_empty() {
-            return Err(ExperimentError::InvalidConfig {
-                reason: "need at least 1 trial, 2 records and 1 scheme".to_string(),
-            });
-        }
-        Ok(())
     }
 
     /// The experiment as a declarative scenario grid: the `m` sweep crossed
@@ -152,15 +126,18 @@ impl Experiment1 {
         }
     }
 
-    /// Runs the sweep and returns the Figure 1 series.
-    pub fn run(&self) -> Result<ExperimentSeries> {
-        self.validate()?;
-        let results = self.grid().run()?;
-        Ok(series_from_results(
+    /// Regroups the grid's results into the Figure 1 series.
+    pub fn series(&self, results: &[ScenarioResult]) -> ExperimentSeries {
+        series_from_results(
             "Figure 1: increasing the number of attributes (p = 5 fixed)",
             "number of attributes",
-            &results,
-        ))
+            results,
+        )
+    }
+
+    /// Runs the sweep and returns the Figure 1 series.
+    pub fn run(&self) -> Result<ExperimentSeries> {
+        Ok(self.series(&self.grid().run()?))
     }
 }
 

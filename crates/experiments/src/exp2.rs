@@ -7,10 +7,10 @@
 //! flat (total variance is held constant, Equation 12).
 
 use crate::config::{figure_1_to_3_set, ExperimentSeries, SchemeKind};
-use crate::error::{ExperimentError, Result};
+use crate::error::Result;
 use crate::scenario::{
     series_from_results, DataSpec, GridAxis, GridAxisValue, NoiseSpec, Override, ScenarioGrid,
-    ScenarioSpec, SpectrumSpec,
+    ScenarioResult, ScenarioSpec, SpectrumSpec,
 };
 use serde::{Deserialize, Serialize};
 
@@ -55,7 +55,7 @@ impl Default for Experiment2 {
 }
 
 impl Experiment2 {
-    /// The full-size configuration used by the `figure2` binary and bench.
+    /// The full-size configuration (`scenarios --grid figure2`, the bench).
     pub fn full() -> Self {
         Self::default()
     }
@@ -69,32 +69,6 @@ impl Experiment2 {
             trials: 1,
             ..Self::default()
         }
-    }
-
-    fn validate(&self) -> Result<()> {
-        if self.principal_component_counts.is_empty() {
-            return Err(ExperimentError::InvalidConfig {
-                reason: "principal_component_counts must not be empty".to_string(),
-            });
-        }
-        if self
-            .principal_component_counts
-            .iter()
-            .any(|&p| p == 0 || p > self.attributes)
-        {
-            return Err(ExperimentError::InvalidConfig {
-                reason: format!(
-                    "every principal-component count must satisfy 1 <= p <= m (m = {})",
-                    self.attributes
-                ),
-            });
-        }
-        if self.trials == 0 || self.records < 2 || self.schemes.is_empty() {
-            return Err(ExperimentError::InvalidConfig {
-                reason: "need at least 1 trial, 2 records and 1 scheme".to_string(),
-            });
-        }
-        Ok(())
     }
 
     /// The experiment as a declarative scenario grid (seeding matches the
@@ -144,18 +118,21 @@ impl Experiment2 {
         }
     }
 
-    /// Runs the sweep and returns the Figure 2 series.
-    pub fn run(&self) -> Result<ExperimentSeries> {
-        self.validate()?;
-        let results = self.grid().run()?;
-        Ok(series_from_results(
+    /// Regroups the grid's results into the Figure 2 series.
+    pub fn series(&self, results: &[ScenarioResult]) -> ExperimentSeries {
+        series_from_results(
             &format!(
                 "Figure 2: increasing the number of principal components (m = {} fixed)",
                 self.attributes
             ),
             "number of principal components",
-            &results,
-        ))
+            results,
+        )
+    }
+
+    /// Runs the sweep and returns the Figure 2 series.
+    pub fn run(&self) -> Result<ExperimentSeries> {
+        Ok(self.series(&self.grid().run()?))
     }
 }
 

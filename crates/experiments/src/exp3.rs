@@ -12,7 +12,7 @@ use crate::config::{figure_1_to_3_set, ExperimentSeries, SchemeKind};
 use crate::error::{ExperimentError, Result};
 use crate::scenario::{
     series_from_results, DataSpec, GridAxis, GridAxisValue, NoiseSpec, Override, ScenarioGrid,
-    ScenarioSpec, SpectrumSpec,
+    ScenarioResult, ScenarioSpec, SpectrumSpec,
 };
 use serde::{Deserialize, Serialize};
 
@@ -58,7 +58,7 @@ impl Default for Experiment3 {
 }
 
 impl Experiment3 {
-    /// The full-size configuration used by the `figure3` binary and bench.
+    /// The full-size configuration (`scenarios --grid figure3`, the bench).
     pub fn full() -> Self {
         Self::default()
     }
@@ -75,32 +75,16 @@ impl Experiment3 {
         }
     }
 
+    /// The one check the grid's own validation cannot make: the scenario
+    /// spectrum accepts `p == m`, but Figure 3 needs at least one
+    /// non-principal component to sweep.
     fn validate(&self) -> Result<()> {
-        if self.non_principal_eigenvalues.is_empty() {
-            return Err(ExperimentError::InvalidConfig {
-                reason: "non_principal_eigenvalues must not be empty".to_string(),
-            });
-        }
-        if self
-            .non_principal_eigenvalues
-            .iter()
-            .any(|&e| !(e > 0.0 && e.is_finite()))
-        {
-            return Err(ExperimentError::InvalidConfig {
-                reason: "non-principal eigenvalues must be positive and finite".to_string(),
-            });
-        }
-        if self.principal_components == 0 || self.principal_components >= self.attributes {
+        if self.principal_components >= self.attributes {
             return Err(ExperimentError::InvalidConfig {
                 reason: format!(
                     "need 1 <= principal components < attributes, got {} of {}",
                     self.principal_components, self.attributes
                 ),
-            });
-        }
-        if self.trials == 0 || self.records < 2 || self.schemes.is_empty() {
-            return Err(ExperimentError::InvalidConfig {
-                reason: "need at least 1 trial, 2 records and 1 scheme".to_string(),
             });
         }
         Ok(())
@@ -151,15 +135,19 @@ impl Experiment3 {
         }
     }
 
+    /// Regroups the grid's results into the Figure 3 series.
+    pub fn series(&self, results: &[ScenarioResult]) -> ExperimentSeries {
+        series_from_results(
+            "Figure 3: increasing the eigenvalues of the non-principal components",
+            "non-principal eigenvalue",
+            results,
+        )
+    }
+
     /// Runs the sweep and returns the Figure 3 series.
     pub fn run(&self) -> Result<ExperimentSeries> {
         self.validate()?;
-        let results = self.grid().run()?;
-        Ok(series_from_results(
-            "Figure 3: increasing the eigenvalues of the non-principal components",
-            "non-principal eigenvalue",
-            &results,
-        ))
+        Ok(self.series(&self.grid().run()?))
     }
 }
 

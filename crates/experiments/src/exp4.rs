@@ -18,7 +18,7 @@ use crate::config::{figure_4_set, ExperimentSeries, SchemeKind};
 use crate::error::{ExperimentError, Result};
 use crate::scenario::{
     series_from_results, DataSpec, GridAxis, GridAxisValue, NoiseSpec, Override, ScenarioGrid,
-    ScenarioSpec, SpectrumSpec,
+    ScenarioResult, ScenarioSpec, SpectrumSpec,
 };
 use serde::{Deserialize, Serialize};
 
@@ -68,7 +68,7 @@ impl Default for Experiment4 {
 }
 
 impl Experiment4 {
-    /// The full-size configuration used by the `figure4` binary and bench.
+    /// The full-size configuration (`scenarios --grid figure4`, the bench).
     pub fn full() -> Self {
         Self::default()
     }
@@ -85,38 +85,16 @@ impl Experiment4 {
         }
     }
 
+    /// The one check the grid's own validation cannot make: the scenario
+    /// spectrum accepts `p == m`, but a flat data spectrum leaves no
+    /// principal/non-principal contrast for the defense to align with.
     fn validate(&self) -> Result<()> {
-        if self.similarity_levels.is_empty() {
-            return Err(ExperimentError::InvalidConfig {
-                reason: "similarity_levels must not be empty".to_string(),
-            });
-        }
-        if self
-            .similarity_levels
-            .iter()
-            .any(|&a| !((-1.0..=1.0).contains(&a) && a.is_finite()))
-        {
-            return Err(ExperimentError::InvalidConfig {
-                reason: "similarity levels must lie in [-1, 1]".to_string(),
-            });
-        }
-        if self.principal_components == 0 || self.principal_components >= self.attributes {
+        if self.principal_components >= self.attributes {
             return Err(ExperimentError::InvalidConfig {
                 reason: format!(
                     "need 1 <= principal components < attributes, got {} of {}",
                     self.principal_components, self.attributes
                 ),
-            });
-        }
-        if self.noise_variance.is_nan()
-            || self.noise_variance <= 0.0
-            || self.trials == 0
-            || self.records < 2
-            || self.schemes.is_empty()
-        {
-            return Err(ExperimentError::InvalidConfig {
-                reason: "need positive noise variance, at least 1 trial, 2 records and 1 scheme"
-                    .to_string(),
             });
         }
         Ok(())
@@ -170,20 +148,24 @@ impl Experiment4 {
         }
     }
 
-    /// Runs the sweep and returns the Figure 4 series (sorted by increasing
-    /// correlation dissimilarity, matching the paper's x-axis).
-    pub fn run(&self) -> Result<ExperimentSeries> {
-        self.validate()?;
-        let results = self.grid().run()?;
+    /// Regroups the grid's results into the Figure 4 series, sorted by
+    /// increasing correlation dissimilarity (the paper's x-axis).
+    pub fn series(&self, results: &[ScenarioResult]) -> ExperimentSeries {
         let mut series = series_from_results(
             "Figure 4: increasing the correlation dissimilarity of data and noise",
             "correlation dissimilarity",
-            &results,
+            results,
         );
         series
             .points
             .sort_by(|a, b| a.x.partial_cmp(&b.x).unwrap_or(std::cmp::Ordering::Equal));
-        Ok(series)
+        series
+    }
+
+    /// Runs the sweep and returns the Figure 4 series.
+    pub fn run(&self) -> Result<ExperimentSeries> {
+        self.validate()?;
+        Ok(self.series(&self.grid().run()?))
     }
 }
 

@@ -29,18 +29,20 @@
 //! | [`exp3`] | Figure 3 | non-principal eigenvalue × schemes |
 //! | [`exp4`] | Figure 4 | noise similarity (correlated defense) × schemes |
 //! | [`ablation`] | — | PC-selection rule, noise level, sample size, noise shape |
-//! | [`streaming`] | — | five schemes × streaming engine at 50 k–500 k records |
+//! | [`streaming`] | — | five schemes × streaming engine at 10 k–500 k records |
 //!
-//! Attack dispatch lives one layer down in `randrecon-core`
+//! [`grids`] registers each of them under a name, next to the default
+//! `sweep` grid. Attack dispatch lives one layer down in `randrecon-core`
 //! ([`randrecon_core::engine`]): any scheme runs on either the in-memory or
 //! the bounded-memory streaming engine from one call site, which is what
-//! lets a single grid sweep `{scheme × noise × engine}` (the `scenarios`
-//! binary's default sweep covers 5 × 3 × 2 = 30 cells in one runner
-//! invocation).
+//! lets a single grid sweep `{scheme × noise × engine}` (the default
+//! `sweep` covers 5 × 3 × 2 = 30 cells in one runner invocation).
 //!
-//! The `figure1` … `figure4`, `ablation`, `streaming`, `all_figures` and
-//! `scenarios` binaries are thin wrappers around these modules; the
-//! Criterion benches in `randrecon-bench` reuse the same configurations.
+//! `scenarios --grid <name> [--smoke]` is the one experiment binary: every
+//! registered grid runs through the same fail-soft runner, journal, shard
+//! coordinator and outcome report, and figure-shaped grids additionally
+//! print and write their series. The Criterion benches in
+//! `randrecon-bench` reuse the same configurations.
 //!
 //! ## Crash resumability and fail-soft execution
 //!
@@ -102,7 +104,8 @@
 //! ```
 //! use randrecon_experiments::exp1::Experiment1;
 //!
-//! // A scaled-down version of Figure 1 (full size lives in the binaries).
+//! // A scaled-down version of Figure 1 (`scenarios --grid figure1` runs the
+//! // full size).
 //! // `Experiment1` is a named grid: `.grid()` exposes the underlying
 //! // `ScenarioGrid`, `.run()` executes it and regroups the results.
 //! let series = Experiment1::quick().run().unwrap();
@@ -122,6 +125,7 @@ pub mod exp2;
 pub mod exp3;
 pub mod exp4;
 pub mod fault;
+pub mod grids;
 pub mod journal;
 pub mod report;
 pub mod scenario;

@@ -1,7 +1,8 @@
 //! Rendering and persisting experiment results: figure series (console
-//! table / CSV), scenario-runner results (console table / CSV / JSON — the
-//! runner's one report sink), and fail-soft **outcome** reports, where
-//! failed cells render alongside the completed ones instead of vanishing.
+//! table / CSV), and fail-soft **outcome** reports (console table / CSV /
+//! JSON — the one report sink of every sweep), where failed cells render
+//! alongside the completed ones instead of vanishing. [`sanity_checks`]
+//! holds a finished sweep to finite RMSEs and cross-engine agreement.
 
 use crate::config::ExperimentSeries;
 use crate::error::{ExperimentError, Result};
@@ -211,39 +212,6 @@ pub fn results_table(results: &[ScenarioResult]) -> String {
     out
 }
 
-/// Renders scenario results as CSV: one row per scenario with fixed columns
-/// plus one column per metric kind.
-pub fn results_to_csv(results: &[ScenarioResult]) -> String {
-    let mut out = String::from("label,x,scheme,attack,engine,records,trials,components_kept");
-    for metric in METRIC_COLUMNS {
-        out.push(',');
-        out.push_str(metric.label());
-    }
-    out.push('\n');
-    for r in results {
-        let _ = write!(
-            out,
-            "{},{},{},{},{},{},{},{}",
-            csv_escape(&r.label),
-            r.x,
-            r.scheme.map(|s| s.label()).unwrap_or(""),
-            csv_escape(&r.attack),
-            r.engine,
-            r.n_records,
-            r.trials,
-            r.components_kept.map(|p| p.to_string()).unwrap_or_default(),
-        );
-        for metric in METRIC_COLUMNS {
-            out.push(',');
-            if let Some(v) = r.metric(metric) {
-                let _ = write!(out, "{v}");
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Escapes a string for a JSON string literal (the workspace serde is an
 /// offline stub, so JSON is emitted by hand).
 fn json_escape(s: &str) -> String {
@@ -260,58 +228,6 @@ fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// Renders scenario results as a JSON array of objects (hand-rolled — the
-/// offline serde stub performs no serialization).
-pub fn results_to_json(results: &[ScenarioResult]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in results.iter().enumerate() {
-        let _ = write!(
-            out,
-            "  {{\"label\": \"{}\", \"x\": {}, \"scheme\": {}, \"attack\": \"{}\", \
-             \"engine\": \"{}\", \"records\": {}, \"trials\": {}, \"components_kept\": {}, \
-             \"seconds\": {}",
-            json_escape(&r.label),
-            json_f64(r.x),
-            r.scheme
-                .map(|s| format!("\"{}\"", s.label()))
-                .unwrap_or_else(|| "null".to_string()),
-            json_escape(&r.attack),
-            r.engine,
-            r.n_records,
-            r.trials,
-            r.components_kept
-                .map(|p| p.to_string())
-                .unwrap_or_else(|| "null".to_string()),
-            json_f64(r.seconds),
-        );
-        for &(metric, value) in &r.metrics {
-            let _ = write!(out, ", \"{}\": {}", metric.label(), json_f64(value));
-        }
-        out.push('}');
-        if i + 1 < results.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push(']');
-    out.push('\n');
-    out
-}
-
-/// Writes scenario results as CSV to `path`.
-pub fn write_results_csv<P: AsRef<Path>>(results: &[ScenarioResult], path: P) -> Result<()> {
-    let path = path.as_ref();
-    let mut file = create_file(path)?;
-    write_all_at(&mut file, path, results_to_csv(results).as_bytes())
-}
-
-/// Writes scenario results as JSON to `path`.
-pub fn write_results_json<P: AsRef<Path>>(results: &[ScenarioResult], path: P) -> Result<()> {
-    let path = path.as_ref();
-    let mut file = create_file(path)?;
-    write_all_at(&mut file, path, results_to_json(results).as_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -559,6 +475,73 @@ pub fn write_outcomes_json<P: AsRef<Path>>(outcomes: &[ScenarioOutcome], path: P
     write_all_at(&mut file, path, outcomes_to_json(outcomes).as_bytes())
 }
 
+/// Largest relative RMSE gap allowed between two cells that differ only in
+/// their engine. The engines share estimators but not noise streams (the
+/// disguise realizations differ), so agreement is statistical — within a
+/// few percent at smoke sizes, not bitwise.
+pub const ENGINE_AGREEMENT: f64 = 0.15;
+
+/// What [`sanity_checks`] found in a finished sweep.
+#[derive(Debug, Default)]
+pub struct SanityChecks {
+    /// Cross-engine pairs compared.
+    pub pairs: usize,
+    /// One line per problem, naming the cell(s).
+    pub problems: Vec<String>,
+}
+
+/// Sanity checks over the cells of a sweep that produced a result: every
+/// RMSE must be finite, and every two cells whose labels differ only in
+/// their `engine=` segment must agree within [`ENGINE_AGREEMENT`] of the
+/// first cell's RMSE. Failed cells are skipped (they are reported as
+/// failures), as are non-finite cells once flagged.
+pub fn sanity_checks(outcomes: &[ScenarioOutcome]) -> SanityChecks {
+    let mut checks = SanityChecks::default();
+    // Cells keyed by their label minus the engine segment, in grid order.
+    let mut groups: Vec<(String, Vec<(&str, f64)>)> = Vec::new();
+    for r in outcomes.iter().filter_map(ScenarioOutcome::as_completed) {
+        let rmse = r.rmse().unwrap_or(f64::NAN);
+        if !rmse.is_finite() {
+            checks
+                .problems
+                .push(format!("non-finite RMSE in {}", r.label));
+            continue;
+        }
+        let segments: Vec<&str> = r.label.split('/').collect();
+        let key: Vec<&str> = segments
+            .iter()
+            .copied()
+            .filter(|seg| !seg.starts_with("engine="))
+            .collect();
+        if key.len() == segments.len() {
+            continue;
+        }
+        let key = key.join("/");
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, cells)) => cells.push((&r.label, rmse)),
+            None => groups.push((key, vec![(&r.label, rmse)])),
+        }
+    }
+    for (_, cells) in &groups {
+        for (i, &(a, rmse_a)) in cells.iter().enumerate() {
+            for &(b, rmse_b) in &cells[i + 1..] {
+                checks.pairs += 1;
+                let gap = (rmse_a - rmse_b).abs() / rmse_a;
+                let agree = gap < ENGINE_AGREEMENT;
+                if !agree {
+                    checks.problems.push(format!(
+                        "engines disagree: {a} RMSE {rmse_a} vs {b} RMSE {rmse_b} \
+                         ({:.1}% apart, limit {:.0}%)",
+                        gap * 100.0,
+                        ENGINE_AGREEMENT * 100.0
+                    ));
+                }
+            }
+        }
+    }
+    checks
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -739,15 +722,6 @@ mod tests {
         assert!(json.contains("\"mse\": null"), "{json}");
         assert!(json.contains("\"x\": null"), "{json}");
         assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
-        let results = [match sample_outcomes().remove(0) {
-            ScenarioOutcome::Completed(mut r) => {
-                r.metrics = vec![(MetricKind::Rmse, f64::NAN)];
-                r
-            }
-            _ => unreachable!(),
-        }];
-        let json = results_to_json(&results);
-        assert!(json.contains("\"rmse\": null"), "{json}");
     }
 
     #[test]
@@ -783,6 +757,55 @@ mod tests {
         assert_ne!(
             outcomes_hash(&[ScenarioOutcome::Degraded(degraded)]),
             outcomes_hash(&[clean])
+        );
+    }
+
+    fn cell(label: &str, rmse: f64) -> ScenarioOutcome {
+        let ScenarioOutcome::Completed(mut r) = sample_outcomes().remove(0) else {
+            unreachable!("first sample outcome is Completed");
+        };
+        r.label = label.to_string();
+        r.metrics = vec![(MetricKind::Rmse, rmse)];
+        ScenarioOutcome::Completed(r)
+    }
+
+    #[test]
+    fn sanity_checks_pair_cells_that_differ_only_in_engine() {
+        let outcomes = vec![
+            cell("g/noise=a/engine=in-memory/scheme=UDR", 2.0),
+            cell("g/noise=a/engine=in-memory/scheme=BE-DR", 1.0),
+            cell("g/noise=a/engine=streaming(256)/scheme=UDR", 2.1),
+            cell("g/noise=a/engine=streaming(256)/scheme=BE-DR", 1.05),
+            // No engine twin: never paired.
+            cell("g/noise=b/engine=in-memory/scheme=UDR", 9.0),
+            // No engine segment at all: never paired.
+            cell("figure1/m=0:5/scheme=UDR", 3.0),
+            sample_outcomes().remove(1),
+        ];
+        let checks = sanity_checks(&outcomes);
+        assert_eq!(checks.pairs, 2);
+        assert!(checks.problems.is_empty(), "{:?}", checks.problems);
+    }
+
+    #[test]
+    fn sanity_checks_name_the_cells_of_each_problem() {
+        let outcomes = vec![
+            cell("g/engine=in-memory/scheme=UDR", 2.0),
+            cell("g/engine=streaming(256)/scheme=UDR", 2.5),
+            cell("g/engine=in-memory/scheme=SF", f64::NAN),
+            cell("g/engine=streaming(256)/scheme=SF", 1.0),
+        ];
+        let checks = sanity_checks(&outcomes);
+        // The NaN cell is flagged and left out of its pair.
+        assert_eq!(checks.pairs, 1);
+        assert_eq!(
+            checks.problems,
+            vec![
+                "non-finite RMSE in g/engine=in-memory/scheme=SF".to_string(),
+                "engines disagree: g/engine=in-memory/scheme=UDR RMSE 2 vs \
+                 g/engine=streaming(256)/scheme=UDR RMSE 2.5 (25.0% apart, limit 15%)"
+                    .to_string(),
+            ]
         );
     }
 

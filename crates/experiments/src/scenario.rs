@@ -890,13 +890,7 @@ impl ScenarioGrid {
             }
         }
         let specs = self.expand();
-        let mut labels: Vec<&str> = specs.iter().map(|s| s.label.as_str()).collect();
-        labels.sort_unstable();
-        if let Some(w) = labels.windows(2).find(|w| w[0] == w[1]) {
-            return Err(ExperimentError::InvalidConfig {
-                reason: format!("grid expands to duplicate scenario label '{}'", w[0]),
-            });
-        }
+        check_unique_labels(&specs)?;
         for spec in &specs {
             spec.validate()?;
         }
@@ -906,6 +900,19 @@ impl ScenarioGrid {
     /// Expands the grid and runs every cell through [`run_scenarios`].
     pub fn run(&self) -> Result<Vec<ScenarioResult>> {
         run_scenarios(&self.expand_validated()?)
+    }
+}
+
+/// Rejects a spec list with a repeated label: duplicate labels would
+/// silently shadow each other in reports.
+pub(crate) fn check_unique_labels(specs: &[ScenarioSpec]) -> Result<()> {
+    let mut labels: Vec<&str> = specs.iter().map(|s| s.label.as_str()).collect();
+    labels.sort_unstable();
+    match labels.windows(2).find(|w| w[0] == w[1]) {
+        Some(w) => Err(ExperimentError::InvalidConfig {
+            reason: format!("grid expands to duplicate scenario label '{}'", w[0]),
+        }),
+        None => Ok(()),
     }
 }
 

@@ -2,105 +2,21 @@
 //! generated, disguised, attacked and scored **without ever materializing an
 //! `n × m` matrix**.
 //!
-//! A [`StreamingScenario`] is now a thin named grid over the declarative
+//! A [`StreamingScenario`] is a thin named grid over the declarative
 //! scenario engine ([`crate::scenario`]): its [`StreamingScenario::grid`]
 //! sweeps the paper's **full five-scheme comparison** (NDR / UDR / SF /
 //! PCA-DR / BE-DR) across the streaming engine, and the runner's workload
 //! grouping accumulates pass-1 moments once per stream and shares them
 //! between the schemes. Peak memory is a few chunks plus `m × m` state, so
 //! the 500 k-record scenario runs comfortably where the in-memory pipeline
-//! would need hundreds of megabytes of record storage. The helper functions
-//! here ([`run_streaming_scheme`], [`evaluate_streaming_schemes`]) expose
-//! the same scheme-dispatch for callers that hold their own chunk sources.
+//! would need hundreds of megabytes of record storage. `scenarios --grid
+//! streaming` and `--grid streaming-500k` run these grids.
 
 use crate::config::SchemeKind;
-use crate::error::{ExperimentError, Result};
 use crate::scenario::{
     AttackSpec, DataSpec, EngineSpec, GridAxis, MetricKind, NoiseSpec, ScenarioGrid, ScenarioSpec,
     SpectrumSpec,
 };
-use randrecon_core::engine::Attack;
-use randrecon_core::streaming::{
-    MseSink, RecordSink, StreamMoments, StreamingDriver, StreamingReport,
-};
-use randrecon_data::chunks::RecordChunkSource;
-use randrecon_noise::NoiseModel;
-use std::fmt;
-
-/// Pass 2 of one streaming scheme against moments accumulated earlier from
-/// the same source.
-///
-/// The scheme dispatch routes through the core attack engine
-/// ([`Attack::standard`]`(scheme).chunk_reconstructor()`), so every
-/// [`SchemeKind`] runs its paper-default configuration (largest-gap
-/// selection for PCA-DR, textbook Marčenko–Pastur bound for SF,
-/// Gaussian-moments prior for UDR). Pass 1 is accumulated **once** per
-/// stream (`StreamingDriver::accumulate_moments`) and shared across all
-/// five schemes — they all consume the same `(n, μ̂_y, Σ̂_y)`, so
-/// re-sweeping the stream per scheme would be pure waste.
-pub fn run_streaming_scheme_with_moments<S, K>(
-    scheme: SchemeKind,
-    moments: &StreamMoments,
-    source: &mut S,
-    noise: &NoiseModel,
-    sink: &mut K,
-) -> Result<StreamingReport>
-where
-    S: RecordChunkSource + Send + ?Sized,
-    K: RecordSink + ?Sized,
-{
-    let attack = Attack::standard(scheme).chunk_reconstructor()?;
-    Ok(StreamingDriver::default().run_with_moments(
-        attack.as_ref(),
-        moments,
-        source,
-        noise,
-        sink,
-    )?)
-}
-
-/// Runs one streaming scheme end to end (both passes) through the unified
-/// driver — the single-scheme convenience over
-/// [`run_streaming_scheme_with_moments`].
-pub fn run_streaming_scheme<S, K>(
-    scheme: SchemeKind,
-    source: &mut S,
-    noise: &NoiseModel,
-    sink: &mut K,
-) -> Result<StreamingReport>
-where
-    S: RecordChunkSource + Send + ?Sized,
-    K: RecordSink + ?Sized,
-{
-    let moments = StreamingDriver::accumulate_moments(source)?;
-    run_streaming_scheme_with_moments(scheme, &moments, source, noise, sink)
-}
-
-/// The streaming analogue of [`crate::workload::evaluate_schemes`]: runs the
-/// requested schemes against one disguised chunk source, scoring each with a
-/// metrics-only MSE sink against the original record stream, and returns
-/// `(scheme, RMSE)` in the order requested — with `O(chunk · m + m²)`
-/// memory, never materializing either stream. Pass 1 runs once; every
-/// scheme shares the accumulated moments.
-pub fn evaluate_streaming_schemes<S, R>(
-    disguised: &mut S,
-    original: &mut R,
-    noise: &NoiseModel,
-    schemes: &[SchemeKind],
-) -> Result<Vec<(SchemeKind, f64)>>
-where
-    S: RecordChunkSource + Send + ?Sized,
-    R: RecordChunkSource,
-{
-    let moments = StreamingDriver::accumulate_moments(disguised)?;
-    let mut out = Vec::with_capacity(schemes.len());
-    for &scheme in schemes {
-        let mut sink = MseSink::new(original)?;
-        run_streaming_scheme_with_moments(scheme, &moments, disguised, noise, &mut sink)?;
-        out.push((scheme, sink.rmse()));
-    }
-    Ok(out)
-}
 
 /// Configuration of one streaming attack scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -158,21 +74,6 @@ impl StreamingScenario {
         }
     }
 
-    fn validate(&self) -> Result<()> {
-        if self.n_records < 2
-            || self.n_attributes == 0
-            || self.chunk_rows == 0
-            || self.principal_components == 0
-            || self.principal_components > self.n_attributes
-            || !(self.noise_sigma > 0.0 && self.noise_sigma.is_finite())
-        {
-            return Err(ExperimentError::InvalidConfig {
-                reason: format!("invalid streaming scenario: {self:?}"),
-            });
-        }
-        Ok(())
-    }
-
     /// The scenario as a declarative five-scheme grid over the streaming
     /// engine. The runner's workload grouping accumulates pass-1 moments
     /// once and shares them across all five schemes, exactly like the old
@@ -209,244 +110,74 @@ impl StreamingScenario {
             axes: vec![GridAxis::schemes(&SchemeKind::all())],
         }
     }
-
-    /// Runs all five streaming schemes end to end against this scenario,
-    /// scoring each with a metrics-only sink against the original record
-    /// stream.
-    pub fn run(&self) -> Result<StreamingOutcome> {
-        self.validate()?;
-        let results = self.grid().run()?;
-        let outcome_of = |scheme: SchemeKind| -> Result<SchemeOutcome> {
-            let r = results
-                .iter()
-                .find(|r| r.scheme == Some(scheme))
-                .ok_or_else(|| ExperimentError::InvalidConfig {
-                    reason: format!(
-                        "streaming sweep produced no result for scheme {}",
-                        scheme.label()
-                    ),
-                })?;
-            let mse = r
-                .metric(MetricKind::Mse)
-                .ok_or_else(|| ExperimentError::MetricMissing {
-                    label: r.label.clone(),
-                    metric: "mse",
-                })?;
-            Ok(SchemeOutcome {
-                mse,
-                seconds: r.seconds,
-                records_per_second: self.n_records as f64 / r.seconds.max(1e-9),
-                components_kept: r.components_kept,
-            })
-        };
-        Ok(StreamingOutcome {
-            scenario: *self,
-            ndr: outcome_of(SchemeKind::Ndr)?,
-            udr: outcome_of(SchemeKind::Udr)?,
-            sf: outcome_of(SchemeKind::SpectralFiltering)?,
-            pca_dr: outcome_of(SchemeKind::PcaDr)?,
-            be_dr: outcome_of(SchemeKind::BeDr)?,
-        })
-    }
-}
-
-/// Timing and accuracy of one streaming attack run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SchemeOutcome {
-    /// Mean squared error per value against the original stream.
-    pub mse: f64,
-    /// Wall-clock seconds for the scheme's prepare + reconstruction sweep
-    /// (chunk generation and disguising stream through the sweep; the
-    /// pass-1 moment accumulation runs once per scenario and is shared by
-    /// all five schemes, so it is not attributed to any one of them).
-    pub seconds: f64,
-    /// Records per second of end-to-end throughput.
-    pub records_per_second: f64,
-    /// Principal/signal components kept (projection schemes only).
-    pub components_kept: Option<usize>,
-}
-
-impl SchemeOutcome {
-    /// Root-mean-square error per value.
-    pub fn rmse(&self) -> f64 {
-        self.mse.sqrt()
-    }
-}
-
-/// Results of a [`StreamingScenario`] run: the full five-scheme comparison.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamingOutcome {
-    /// The configuration that produced these numbers.
-    pub scenario: StreamingScenario,
-    /// Streaming NDR (the `X̂ = Y` noise floor) results.
-    pub ndr: SchemeOutcome,
-    /// Streaming UDR (Gaussian-moments posterior) results.
-    pub udr: SchemeOutcome,
-    /// Streaming spectral filtering results.
-    pub sf: SchemeOutcome,
-    /// Streaming PCA-DR results.
-    pub pca_dr: SchemeOutcome,
-    /// Streaming BE-DR results.
-    pub be_dr: SchemeOutcome,
-}
-
-impl StreamingOutcome {
-    /// The MSE an attacker gets for free by returning the disguised data
-    /// unchanged (NDR): the per-value noise variance σ².
-    pub fn noise_floor_mse(&self) -> f64 {
-        self.scenario.noise_sigma * self.scenario.noise_sigma
-    }
-
-    /// The outcomes in the paper's scheme order, labelled.
-    pub fn schemes(&self) -> [(SchemeKind, SchemeOutcome); 5] {
-        [
-            (SchemeKind::Ndr, self.ndr),
-            (SchemeKind::Udr, self.udr),
-            (SchemeKind::SpectralFiltering, self.sf),
-            (SchemeKind::PcaDr, self.pca_dr),
-            (SchemeKind::BeDr, self.be_dr),
-        ]
-    }
-}
-
-impl fmt::Display for StreamingOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = &self.scenario;
-        writeln!(
-            f,
-            "streaming scenario: {} records x {} attributes, chunk {}, sigma {}",
-            s.n_records, s.n_attributes, s.chunk_rows, s.noise_sigma
-        )?;
-        writeln!(
-            f,
-            "  theoretical noise floor (NDR) MSE: {:.4}",
-            self.noise_floor_mse()
-        )?;
-        for (scheme, outcome) in self.schemes() {
-            write!(
-                f,
-                "  {:<6}: MSE {:.4}  ({:.2} s, {:.0} records/s",
-                scheme.label(),
-                outcome.mse,
-                outcome.seconds,
-                outcome.records_per_second
-            )?;
-            if let Some(p) = outcome.components_kept {
-                write!(f, ", p = {p}")?;
-            }
-            writeln!(f, ")")?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use randrecon_data::chunks::SyntheticChunkSource;
-    use randrecon_data::synthetic::EigenSpectrum;
-    use randrecon_noise::additive::{AdditiveRandomizer, DisguisedChunkSource};
+    use crate::report::results_table;
 
     #[test]
     fn quick_scenario_runs_all_five_schemes_with_the_expected_ordering() {
-        let outcome = StreamingScenario::quick().run().unwrap();
-        let floor = outcome.noise_floor_mse();
+        let scenario = StreamingScenario::quick();
+        let results = scenario.grid().run().unwrap();
+        let cell = |scheme: SchemeKind| {
+            results
+                .iter()
+                .find(|r| r.scheme == Some(scheme))
+                .unwrap_or_else(|| panic!("no {} cell", scheme.label()))
+        };
+        let mse = |scheme: SchemeKind| cell(scheme).metric(MetricKind::Mse).unwrap();
+        let floor = scenario.noise_sigma * scenario.noise_sigma;
         // NDR measures the empirical noise floor.
+        let ndr = mse(SchemeKind::Ndr);
         assert!(
-            (outcome.ndr.mse - floor).abs() / floor < 0.1,
-            "NDR mse {} should sit at the σ² = {floor} noise floor",
-            outcome.ndr.mse
+            (ndr - floor).abs() / floor < 0.1,
+            "NDR mse {ndr} should sit at the σ² = {floor} noise floor"
         );
         // Every real attack beats the floor. PCA-DR beats UDR on this
         // correlated workload (3 principal components out of 16 attributes);
         // SF only has to beat the floor — its Marčenko–Pastur bound sits
         // right at the bulk edge here, and over-keeping components is
         // exactly the SF weakness the paper documents.
-        assert!(outcome.udr.mse < 0.8 * floor, "UDR {}", outcome.udr.mse);
-        assert!(outcome.sf.mse < 0.8 * floor, "SF {}", outcome.sf.mse);
+        let udr = mse(SchemeKind::Udr);
+        let sf = mse(SchemeKind::SpectralFiltering);
+        let pca_dr = mse(SchemeKind::PcaDr);
+        let be_dr = mse(SchemeKind::BeDr);
+        assert!(udr < 0.8 * floor, "UDR {udr}");
+        assert!(sf < 0.8 * floor, "SF {sf}");
+        assert!(pca_dr < udr, "PCA-DR {pca_dr} vs UDR {udr}");
         assert!(
-            outcome.pca_dr.mse < outcome.udr.mse,
-            "PCA-DR {} vs UDR {}",
-            outcome.pca_dr.mse,
-            outcome.udr.mse
-        );
-        assert!(
-            outcome.be_dr.mse < 0.5 * floor,
-            "BE-DR mse {} vs noise floor {floor}",
-            outcome.be_dr.mse
+            be_dr < 0.5 * floor,
+            "BE-DR mse {be_dr} vs noise floor {floor}"
         );
         // BE-DR is at least as strong as PCA-DR (the paper's Section 6 result).
-        assert!(outcome.be_dr.mse <= outcome.pca_dr.mse * 1.05);
-        assert_eq!(outcome.pca_dr.components_kept, Some(3));
-        assert_eq!(outcome.ndr.components_kept, None);
-        assert!(outcome.be_dr.records_per_second > 0.0);
-        let rendered = outcome.to_string();
+        assert!(be_dr <= pca_dr * 1.05);
+        assert_eq!(cell(SchemeKind::PcaDr).components_kept, Some(3));
+        assert_eq!(cell(SchemeKind::Ndr).components_kept, None);
+        let be = cell(SchemeKind::BeDr);
+        assert_eq!(be.n_records, scenario.n_records);
+        assert!(be.seconds > 0.0);
+        let rendered = results_table(&results);
         for label in ["NDR", "UDR", "SF", "PCA-DR", "BE-DR"] {
             assert!(rendered.contains(label), "missing {label} in:\n{rendered}");
         }
-        assert!(rendered.contains("records/s"));
-    }
-
-    #[test]
-    fn evaluate_streaming_schemes_orders_results_like_the_in_memory_analogue() {
-        let scenario = StreamingScenario {
-            n_records: 3_000,
-            n_attributes: 8,
-            chunk_rows: 512,
-            principal_components: 2,
-            noise_sigma: 6.0,
-            seed: 31,
-        };
-        let spectrum = EigenSpectrum::principal_plus_small(
-            scenario.principal_components,
-            400.0,
-            scenario.n_attributes,
-            4.0,
-        )
-        .unwrap();
-        let mut original = SyntheticChunkSource::generate(
-            &spectrum,
-            scenario.n_records,
-            scenario.chunk_rows,
-            scenario.seed,
-        )
-        .unwrap();
-        let randomizer = AdditiveRandomizer::gaussian(scenario.noise_sigma).unwrap();
-        let mut disguised =
-            DisguisedChunkSource::new(original.clone(), randomizer, scenario.seed + 1);
-        let noise = disguised.model().clone();
-
-        let schemes = [
-            SchemeKind::Ndr,
-            SchemeKind::Udr,
-            SchemeKind::SpectralFiltering,
-            SchemeKind::PcaDr,
-            SchemeKind::BeDr,
-        ];
-        let results =
-            evaluate_streaming_schemes(&mut disguised, &mut original, &noise, &schemes).unwrap();
-        assert_eq!(results.len(), 5);
-        for (i, &(scheme, rmse)) in results.iter().enumerate() {
-            assert_eq!(scheme, schemes[i]);
-            assert!(rmse.is_finite() && rmse >= 0.0);
-        }
-        // On this correlated workload BE-DR beats the NDR baseline.
-        assert!(results[4].1 < results[0].1);
+        assert!(rendered.contains("seconds"));
     }
 
     #[test]
     fn scenario_validation_rejects_nonsense() {
         let mut s = StreamingScenario::quick();
         s.n_records = 1;
-        assert!(s.run().is_err());
+        assert!(s.grid().run().is_err());
         let mut s = StreamingScenario::quick();
         s.chunk_rows = 0;
-        assert!(s.run().is_err());
+        assert!(s.grid().run().is_err());
         let mut s = StreamingScenario::quick();
         s.principal_components = 0;
-        assert!(s.run().is_err());
+        assert!(s.grid().run().is_err());
         let mut s = StreamingScenario::quick();
         s.noise_sigma = -1.0;
-        assert!(s.run().is_err());
+        assert!(s.grid().run().is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! Report-format invariants, checked through *independent* parsers:
 //!
-//! * **CSV column-count invariant** — every row either renderer emits
-//!   (completed and failed cells, with and without optional fields,
+//! * **CSV column-count invariant** — every row the outcome renderer emits
+//!   (completed, degraded and failed cells, with and without optional fields,
 //!   adversarial labels full of commas/quotes/newlines) parses through the
 //!   shared RFC-4180 record parser in `randrecon-data` to exactly the
 //!   header's column count. This is the regression fence for the old lossy
@@ -14,9 +14,7 @@
 //!   JSON and breaks every downstream consumer).
 
 use randrecon_data::csv::parse_csv_text;
-use randrecon_experiments::report::{
-    outcomes_to_csv, outcomes_to_json, results_to_csv, results_to_json,
-};
+use randrecon_experiments::report::{outcomes_to_csv, outcomes_to_json};
 use randrecon_experiments::scenario::{
     MetricKind, ScenarioFailure, ScenarioOutcome, ScenarioResult,
 };
@@ -96,27 +94,18 @@ fn assert_rectangular(csv: &str, what: &str) -> Vec<Vec<String>> {
 }
 
 #[test]
-fn results_csv_rows_match_header_column_count() {
-    let results: Vec<ScenarioResult> = vec![
-        adversarial_result("a", Some(4), 1.5),
-        adversarial_result("b", None, f64::NEG_INFINITY),
-    ];
-    let records = assert_rectangular(&results_to_csv(&results), "results_to_csv");
-    // 8 fixed columns + one per metric column.
-    assert_eq!(records[0].len(), 11);
-    assert_eq!(records.len(), 3, "header + one record per result");
-    // Round-trip: the parsed label is the original, unmangled.
-    assert_eq!(records[1][0], results[0].label);
-    assert_eq!(records[1][3], results[0].attack);
-}
-
-#[test]
 fn outcomes_csv_rows_match_header_column_count() {
     let outcomes = mixed_outcomes();
     let records = assert_rectangular(&outcomes_to_csv(&outcomes), "outcomes_to_csv");
     // results columns + status, classification, attempts, error.
     assert_eq!(records[0].len(), 15);
     assert_eq!(records.len(), outcomes.len() + 1);
+    // Completed rows round-trip their label and attack unmangled.
+    let ScenarioOutcome::Completed(first) = &outcomes[0] else {
+        unreachable!("mixed_outcomes starts with a completed cell");
+    };
+    assert_eq!(records[1][0], first.label);
+    assert_eq!(records[1][3], first.attack);
     // Failed rows round-trip their error text exactly — newlines and all.
     let failed = &records[3];
     assert_eq!(failed[11], "failed");
@@ -338,7 +327,7 @@ fn json_checker_rejects_bare_nan() {
 }
 
 /// NaN, +inf, and -inf in metrics / x / seconds must yield documents a
-/// strict JSON parser accepts (rendered as `null`), for both emitters.
+/// strict JSON parser accepts (rendered as `null`).
 #[test]
 fn emitted_json_is_valid_with_non_finite_values() {
     let mut weird = adversarial_result("nan", None, f64::NAN);
@@ -347,14 +336,8 @@ fn emitted_json_is_valid_with_non_finite_values() {
     weird
         .metrics
         .push((MetricKind::NormalizedRmse, f64::NEG_INFINITY));
-    let results = vec![adversarial_result("ok", Some(3), 2.0), weird.clone()];
-
-    let doc = results_to_json(&results);
-    Json::check(&doc)
-        .unwrap_or_else(|e| panic!("results_to_json emitted invalid JSON: {e}\n{doc}"));
-    assert!(doc.contains("null"), "non-finite values should become null");
-
     let outcomes = vec![
+        ScenarioOutcome::Completed(adversarial_result("ok", Some(3), 2.0)),
         ScenarioOutcome::Completed(weird),
         ScenarioOutcome::Failed(adversarial_failure("f")),
         ScenarioOutcome::Degraded(adversarial_degraded("g")),
@@ -362,5 +345,5 @@ fn emitted_json_is_valid_with_non_finite_values() {
     let doc = outcomes_to_json(&outcomes);
     Json::check(&doc)
         .unwrap_or_else(|e| panic!("outcomes_to_json emitted invalid JSON: {e}\n{doc}"));
-    assert!(doc.contains("null"));
+    assert!(doc.contains("null"), "non-finite values should become null");
 }

@@ -6,46 +6,19 @@
 #
 # The criterion-compatible harness honours CRITERION_JSON: when set, it
 # writes a JSON array of {group, bench, mean_ns, iterations, samples}
-# objects after all groups have run. The `kernels_v1` group carries the
-# PR-1 acceptance numbers (`be_dr/5000` vs `be_dr_seed/5000`); the
-# `kernels_v2` group the PR-2 numbers (`eigen/256` vs `eigen_jacobi/256`,
-# acceptance >=5x); the `kernels_v3` group the PR-3 microkernel numbers
-# (`matmul_micro/512` vs `matmul_blocked_seed/512`, acceptance >=1.5x); the
-# `streaming` group the bounded-memory numbers: the PR-3 ratios
-# (`be_dr_streaming/50000` vs `be_dr_in_memory/50000`, acceptance >=0.8x
-# throughput, plus the fully-streamed `be_dr_streaming/500000` flagship)
-# and the PR-4 unified-driver numbers (per-scheme `*_streaming/50000`
-# throughput for NDR/UDR/SF/PCA-DR, plus `be_dr_streaming/50000` vs the
-# forced-sequential `be_dr_streaming_seq/50000` — the double-buffered
-# pass 2 must hold >=0.95x of the sequential throughput); and the
-# `scenario` group the PR-5 declarative-runner numbers (`runner/8` vs
-# `handrolled/8` over eight distinct-workload scenarios — the runner's
-# scheduling overhead must stay <=5%); and the `journal` group the PR-6
-# crash-resumability numbers (`journaled/8` vs `plain/8` over the same
-# eight workloads — framing, checksumming and appending every outcome to
-# the result journal must cost <=5%); and the `shard` group the PR-7
-# sharded-runner numbers (`sharded/8` vs `plain/8` — the in-process
-# sharding protocol: per-shard journals with shard-stamped headers,
-# read-only recovery and the global-index merge must cost <=10% over a
-# single-process run of the same eight workloads); and the `supervise`
-# group the PR-8 supervision numbers (`supervised/8` vs `sharded/8` —
-# per-shard heartbeat sidecars rewritten after every journaled cell plus
-# an armed-but-never-firing cell deadline checked at trial/member/chunk
-# boundaries must cost <=5% over bare in-process sharding of the same
-# eight workloads); and the `moment_merge` group the PR-9 distributed-
-# reduction numbers (`merged/8` vs `never/8` over eight streaming
-# workloads split across 2 in-process shards -- dealing each group's
-# pass-1 moment segments across shards as moment tasks, journaling the
-# partials as v5 moment frames, and merging them in the coordinator's
-# reduce step must cost <=10% over unsplit sharding of the same grid);
-# and the `pipeline_ring` group the PR-10 chunk-engine numbers: pass 2
-# through the N-slot ring (depths 4 and 8) vs the forced-sequential loop
-# and the pinned two-slot depth at 50 k x 64 and the fully-streamed
-# 500 k x 64 flagship (`be_dr_ring4/50000` vs `be_dr_sequential/50000`
-# must hold >=0.95x throughput even on 1 core), plus the ROW_BLOCK-panel
-# wide-table covariance rank-update vs the preserved per-row sweep at
-# n = 1000, m in {128, 256} (`sample_covariance_n1000/256` vs
-# `sample_covariance_rowsweep_n1000/256`, acceptance >=1.3x).
+# objects after all groups have run (the groups are listed at the top of
+# crates/bench/benches/micro.rs). The printout covers the carried ratios:
+# `kernels_v2` eigen vs its pinned Jacobi reference; `kernels_v3`
+# `matmul_micro/512` vs `matmul_blocked_seed/512` (>=1.5x); `streaming`
+# `be_dr_streaming/50000` vs `be_dr_in_memory/50000` (>=0.8x throughput),
+# per-scheme streaming throughput and the fully-streamed
+# `be_dr_streaming/500000` flagship; the runner, journal, shard, supervise
+# and moment-merge overheads over one eight-workload grid (<=5%, <=5%,
+# <=10%, <=5%, <=10%); and `pipeline_ring` ring depths vs the sequential
+# loop (`be_dr_ring4/50000` >=0.95x; depth 2 is the old double buffer)
+# plus the blocked covariance vs the per-row sweep
+# (`sample_covariance_n1000/256` vs `sample_covariance_rowsweep_n1000/256`,
+# >=1.3x).
 # BENCH_1.json … BENCH_9.json remain the frozen PR-1/…/9 records; pass
 # one of them as the argument only to regenerate history deliberately.
 
@@ -73,20 +46,11 @@ echo "wrote $out"
 python3 - "$out" <<'EOF' 2>/dev/null || true
 import json, sys
 results = {(r["group"], r["bench"]): r["mean_ns"] for r in json.load(open(sys.argv[1]))}
-for n in (500, 5000, 50000):
-    new = results.get(("kernels_v1", f"be_dr/{n}"))
-    old = results.get(("kernels_v1", f"be_dr_seed/{n}"))
-    if new and old:
-        print(f"be_dr {n} rows: seed {old/1e6:.2f} ms -> now {new/1e6:.2f} ms  ({old/new:.2f}x)")
 for m in (64, 128, 256):
     new = results.get(("kernels_v2", f"eigen/{m}"))
     old = results.get(("kernels_v2", f"eigen_jacobi/{m}"))
     if new and old:
         print(f"eigen m={m}: jacobi {old/1e6:.2f} ms -> householder+QL {new/1e6:.2f} ms  ({old/new:.2f}x)")
-new = results.get(("kernels_v2", "mvn_sample_matrix/50000"))
-old = results.get(("kernels_v2", "mvn_sample_matrix_seed/50000"))
-if new and old:
-    print(f"mvn 50k rows: scalar {old/1e6:.2f} ms -> batched {new/1e6:.2f} ms  ({old/new:.2f}x)")
 for n in (256, 512):
     new = results.get(("kernels_v3", f"matmul_micro/{n}"))
     old = results.get(("kernels_v3", f"matmul_blocked_seed/{n}"))
@@ -96,9 +60,6 @@ stream = results.get(("streaming", "be_dr_streaming/50000"))
 memory = results.get(("streaming", "be_dr_in_memory/50000"))
 if stream and memory:
     print(f"be_dr 50k rows: in-memory {memory/1e6:.2f} ms vs streaming {stream/1e6:.2f} ms  (throughput ratio {memory/stream:.2f}x, acceptance >=0.8x)")
-seq = results.get(("streaming", "be_dr_streaming_seq/50000"))
-if stream and seq:
-    print(f"be_dr 50k streaming pass 2: sequential {seq/1e6:.2f} ms vs double-buffered {stream/1e6:.2f} ms  (throughput ratio {seq/stream:.2f}x, acceptance >=0.95x)")
 for scheme in ("ndr", "udr", "sf", "pca_dr", "be_dr"):
     t = results.get(("streaming", f"{scheme}_streaming/50000"))
     if t:

@@ -1,8 +1,12 @@
 //! # randrecon — Deriving Private Information from Randomized Data
 //!
-//! Facade crate re-exporting the whole workspace. See the crate-level docs of
-//! the individual sub-crates for details; the README and DESIGN.md map each
-//! subsystem back to the SIGMOD 2005 paper it reproduces.
+//! Facade crate re-exporting the whole workspace. The crate-level docs of
+//! the sub-crates map each subsystem back to the SIGMOD 2005 paper it
+//! reproduces: [`core`] for the five reconstruction attacks and the
+//! streaming engine, [`experiments`] for the evaluation (the named grids
+//! behind `scenarios --grid <name>`, journals and shards), and
+//! [`linalg`], [`stats`], [`noise`], [`data`] and [`metrics`] for the
+//! layers underneath.
 //!
 //! ```
 //! // The facade simply re-exports the sub-crates under shorter names.
