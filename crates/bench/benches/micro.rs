@@ -600,7 +600,7 @@ fn bench_supervise(c: &mut Criterion) {
 /// sharded in-process path, plain whole-group split (`SplitPolicy::Never`)
 /// versus the distributed pass-1 moment merge (`SplitPolicy::Always`):
 /// every group's fixed-width moment segments are dealt across both shards,
-/// journaled as v5 moment frames, and reduced coordinator-side before
+/// journaled as moment frames, and reduced coordinator-side before
 /// pass 2. `merged/8` vs `never/8` is the tracked ≤10% moment-merge
 /// coordination-overhead acceptance ratio for PR 9 — the extra journal
 /// frames, recovery, and cross-shard merge must be nearly free against the

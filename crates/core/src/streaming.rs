@@ -28,21 +28,27 @@
 //! [`StreamingDriver::slots`]), which decomposes a sweep into explicit
 //! stages:
 //!
-//! * **read** — `source.next_chunk()` on a dedicated producer thread (for
-//!   disguised sources this stage *includes* the per-chunk noise draw, which
-//!   is child-seeded by chunk index and therefore order-independent);
+//! * **read** — on a dedicated producer thread. A source that offers a
+//!   [`RandomAccess`](randrecon_data::chunks::RandomAccess) view (the
+//!   synthetic generator, and the disguising adapter over it, whose chunk
+//!   `i` is child-seeded by `i`) is read as chunk *indices* only; any other
+//!   source (CSV, in-memory tables) is read with `source.next_chunk()`;
 //! * **reconstruct** (pass 2) / **moment partial** (pass 1) — the per-chunk
 //!   map, fanned across the shared `randrecon-parallel` pool with up to
-//!   `slots / 2` chunks in flight at once;
+//!   `slots / 2` chunks in flight at once. For a random-access source this
+//!   stage first *generates* its chunk (`chunk_at(i)`: MVN draws plus the
+//!   disguise), so generation runs across the pool too;
 //! * **sink** (pass 2) / **merge** (pass 1) — the consumer, draining on the
 //!   calling thread strictly in chunk order.
 //!
-//! At most `slots` chunks are resident between read and consume; one slot
-//! is the strictly sequential read-map-sink loop, run inline. Because
-//! delivery is in read order, every per-chunk map is a pure function of its
-//! chunk, and pass 1's merge runs the same two-level segment fold at any
-//! depth, the output — and any error it stops on — is identical to that
-//! one-slot loop, **byte for byte**, at every slot count and worker count.
+//! The path is chosen by the source's capability, not by a knob. At most
+//! `slots` chunks are resident between read and consume; one slot is the
+//! strictly sequential read-map-sink loop, run inline. Because delivery is
+//! in read order, a random-access chunk is bit-identical to the sequential
+//! one, every per-chunk map is a pure function of its chunk, and pass 1's
+//! merge runs the same two-level segment fold at any depth, the output —
+//! and any error it stops on — is identical to that one-slot loop, **byte
+//! for byte**, at every slot count and worker count, on either path.
 //! A failing sink closes the ring's channel, which unblocks the producer
 //! (its next send fails and it stops cleanly), so sink errors surface
 //! without hangs at every depth. The depth defaults to
@@ -69,7 +75,6 @@ pub use randrecon_parallel::CancelToken;
 use randrecon_parallel::{default_pipeline_slots, pipeline_ring};
 use randrecon_stats::posterior::PreparedPosterior;
 use std::io::Write;
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Sinks
@@ -303,12 +308,13 @@ pub fn moment_segment_count(n_chunks: usize) -> usize {
 /// chunks `[index · W, index · W + n_chunks)` for
 /// `W = `[`MOMENT_SEGMENT_CHUNKS`].
 ///
-/// The partial is anchored at the **segment's own first record**, so it is
-/// a pure function of its chunk range — computable by any process without
-/// access to the rest of the stream. Anchor differences are reconciled
-/// deterministically by [`CovarianceAccumulator::merge`]'s exact
-/// translation identity when the partials fold into the stream
-/// accumulator.
+/// The partial folds per-chunk partials, each anchored at its **chunk's own
+/// first record**, so it is a pure function of its chunk range — computable
+/// by any process without access to the rest of the stream. Anchor
+/// differences are reconciled deterministically by
+/// [`CovarianceAccumulator::merge`]'s exact translation identity, both when
+/// chunk partials fold into the segment and when segments fold into the
+/// stream accumulator.
 #[derive(Debug, Clone)]
 pub struct MomentSegment {
     /// 0-based segment index within the stream.
@@ -319,104 +325,168 @@ pub struct MomentSegment {
     pub accumulator: CovarianceAccumulator,
 }
 
-/// Sweeps the source once into a [`CovarianceAccumulator`].
+/// Sweeps the source once, from its first chunk, into a
+/// [`CovarianceAccumulator`].
 ///
-/// Since PR 10 the sweep rides the same N-slot ring as pass 2
+/// The sweep rides the same N-slot ring as pass 2
 /// ([`accumulate_source_pipelined`] at the process default depth): chunk
-/// reads overlap moment accumulation, with per-chunk partials computed
-/// across the shared pool. The fold is two-level: per-chunk partials merge
-/// in chunk order into a self-anchored *segment* partial every
-/// [`MOMENT_SEGMENT_CHUNKS`] chunks, and segment partials merge in segment
-/// order into the result. Per-chunk partials are functions of their chunk
-/// and their segment's anchor alone, each segment's anchor is its own first
-/// record, and both merge sequences are fixed by the stream — so the result
-/// is bit-identical at every ring depth, on a 1-core laptop, a many-core
-/// server, **and** a distributed run whose shards each computed a segment
-/// range (see [`accumulate_moment_segments`] / [`merge_moment_segments`];
-/// the batch-mode fold [`accumulate_source_with_batch`] is retained as the
-/// pinned reference the equivalence tests compare against).
+/// reads (or, for random-access sources, chunk generation) overlap moment
+/// accumulation, with per-chunk partials computed across the shared pool.
+/// The fold is two-level: per-chunk partials merge in chunk order into a
+/// self-anchored *segment* partial every [`MOMENT_SEGMENT_CHUNKS`] chunks,
+/// and segment partials merge in segment order into the result. Each
+/// per-chunk partial is anchored at its chunk's own first record, so it is
+/// a function of its chunk alone, and both merge sequences are fixed by the
+/// stream — so the result is bit-identical at every ring depth, on a 1-core
+/// laptop, a many-core server, **and** a distributed run whose shards each
+/// computed a segment range (see [`accumulate_moment_segments`] /
+/// [`merge_moment_segments`]; the batch-mode fold
+/// [`accumulate_source_with_batch`] is retained as the pinned reference the
+/// equivalence tests compare against).
 pub fn accumulate_source<S: RecordChunkSource + Send + ?Sized>(
     source: &mut S,
 ) -> Result<(CovarianceAccumulator, usize)> {
     accumulate_source_pipelined(source, default_pipeline_slots())
 }
 
-/// [`accumulate_source`] over an explicit N-slot ring: the **read** stage
-/// pulls chunks (and captures each segment's anchor — the first record of
-/// the segment's first non-empty chunk — as it goes), the **transform**
-/// stage turns each chunk into a shift-anchored partial accumulator on the
+/// [`accumulate_source`] over an explicit N-slot ring: chunks are read on
+/// the producer thread, or generated on the pool for a source with a
+/// random-access view; the **transform** stage turns each chunk into a
+/// partial accumulator anchored at the chunk's own first record, on the
 /// shared pool, and the **merge** stage folds partials in chunk order into
-/// segment partials and segments into the stream accumulator on the calling
-/// thread. The merge sequence is exactly the one
-/// [`accumulate_source_with_batch`] runs, so the result is bit-identical to
-/// the batch fold (and to a distributed segment fold) at every `slots`.
+/// segment partials and segments into the stream accumulator on the
+/// calling thread. Every partial is a pure function of its chunk and the
+/// merge sequence is exactly the one [`accumulate_source_with_batch`]
+/// runs, so the result is bit-identical to the batch fold (and to a
+/// distributed segment fold) at every `slots`.
 pub fn accumulate_source_pipelined<S: RecordChunkSource + Send + ?Sized>(
     source: &mut S,
     slots: usize,
 ) -> Result<(CovarianceAccumulator, usize)> {
-    /// What the read stage hands the transform stage: the chunk plus its
-    /// segment's shared shift anchor (absent until the segment sees its
-    /// first non-empty chunk).
-    type AnchoredChunk = (Option<Arc<Vec<f64>>>, Matrix);
     let m = source.n_attributes();
     let mut acc = CovarianceAccumulator::new(m);
     let mut segment = CovarianceAccumulator::new(m);
     let mut segment_chunks = 0usize;
     let mut n_chunks = 0usize;
-
-    {
-        let source_ref = &mut *source;
-        let mut anchor: Option<Arc<Vec<f64>>> = None;
-        let mut read_index = 0usize;
-        let segment_ref = &mut segment;
-        let segment_chunks_ref = &mut segment_chunks;
-        let acc_ref = &mut acc;
-        let n_chunks_ref = &mut n_chunks;
-        pipeline_ring(
-            slots,
-            move || -> Result<Option<AnchoredChunk>> {
-                if read_index.is_multiple_of(MOMENT_SEGMENT_CHUNKS) {
-                    // Segment boundary: the next segment anchors itself.
-                    anchor = None;
-                }
-                match source_ref.next_chunk()? {
-                    Some(chunk) => {
-                        if anchor.is_none() && chunk.rows() > 0 {
-                            anchor = Some(Arc::new(chunk.row(0).to_vec()));
-                        }
-                        read_index += 1;
-                        Ok(Some((anchor.clone(), chunk)))
-                    }
-                    None => Ok(None),
-                }
-            },
-            move |_, (anchor, chunk)| {
-                // An empty chunk before its segment found an anchor carries
-                // no records and contributes an empty partial.
-                let mut partial = match anchor {
-                    Some(anchor) => CovarianceAccumulator::with_shift(anchor.as_ref().clone()),
-                    None => CovarianceAccumulator::new(m),
-                };
-                partial.update_chunk(&chunk)?;
-                Ok::<_, ReconError>(partial)
-            },
-            |_, partial| {
-                segment_ref.merge(&partial)?;
-                *segment_chunks_ref += 1;
-                *n_chunks_ref += 1;
-                if *segment_chunks_ref == MOMENT_SEGMENT_CHUNKS {
-                    acc_ref.merge(segment_ref)?;
-                    *segment_ref = CovarianceAccumulator::new(m);
-                    *segment_chunks_ref = 0;
-                }
-                Ok(())
-            },
-        )?;
-    }
+    ring_sweep(
+        source,
+        slots,
+        None,
+        |_, e| e,
+        |_, chunk| chunk_partial(m, &chunk),
+        |_, partial| {
+            segment.merge(&partial)?;
+            segment_chunks += 1;
+            n_chunks += 1;
+            if segment_chunks == MOMENT_SEGMENT_CHUNKS {
+                acc.merge(&segment)?;
+                segment = CovarianceAccumulator::new(m);
+                segment_chunks = 0;
+            }
+            Ok(())
+        },
+    )?;
     if segment_chunks > 0 {
         acc.merge(&segment)?;
     }
     Ok((acc, n_chunks))
+}
+
+/// One chunk's pass-1 partial, anchored at the chunk's own first record
+/// (an empty chunk gives an empty partial, which merges as a no-op).
+fn chunk_partial(m: usize, chunk: &Matrix) -> Result<CovarianceAccumulator> {
+    let mut partial = CovarianceAccumulator::new(m);
+    partial.update_chunk(chunk)?;
+    Ok(partial)
+}
+
+/// One sweep of `source` from its first chunk through the N-slot ring.
+///
+/// Where the chunks come from depends on the source. When it offers a
+/// [`RandomAccess`](randrecon_data::chunks::RandomAccess) view, the ring's
+/// read stage only hands out chunk indices and each chunk is generated
+/// inside the transform stage, so generation fans out across the shared
+/// pool with the per-chunk work. Otherwise the read stage pulls
+/// `next_chunk` on the ring's producer thread. Either way `transform`
+/// receives chunk `i` as `(i, chunk)`, `consume` gets the outputs in chunk
+/// order, at most `slots` chunks are in flight, and `cancel` (if any) is
+/// checked once per chunk before the chunk is handed out. `locate` wraps a
+/// read, generation or cancellation error with the chunk index it hit.
+fn ring_sweep<S, U, X, C>(
+    source: &mut S,
+    slots: usize,
+    cancel: Option<&CancelToken>,
+    locate: fn(usize, ReconError) -> ReconError,
+    transform: X,
+    consume: C,
+) -> Result<()>
+where
+    S: RecordChunkSource + Send + ?Sized,
+    U: Send,
+    X: Fn(usize, Matrix) -> Result<U> + Sync,
+    C: FnMut(usize, U) -> Result<()>,
+{
+    source.reset()?;
+    let cancel = cancel.cloned();
+    let check_cancel = move |index: usize| match &cancel {
+        Some(token) if token.is_cancelled() => Err(locate(index, cancelled())),
+        _ => Ok(()),
+    };
+    let mut next = 0usize;
+    if let Some(view) = source.random_access() {
+        let n_chunks = view.n_chunks();
+        return pipeline_ring(
+            slots,
+            move || -> Result<Option<()>> {
+                check_cancel(next)?;
+                if next == n_chunks {
+                    return Ok(None);
+                }
+                next += 1;
+                Ok(Some(()))
+            },
+            |index, ()| match view.chunk_at(index) {
+                Ok(Some(chunk)) => transform(index, chunk),
+                Ok(None) => Err(locate(
+                    index,
+                    ReconError::InvalidInput {
+                        reason: format!("random-access view of {n_chunks} chunks ended early"),
+                    },
+                )),
+                Err(e) => Err(locate(index, e.into())),
+            },
+            consume,
+        );
+    }
+    pipeline_ring(
+        slots,
+        move || -> Result<Option<Matrix>> {
+            check_cancel(next)?;
+            let chunk = source.next_chunk().map_err(|e| locate(next, e.into()))?;
+            next += usize::from(chunk.is_some());
+            Ok(chunk)
+        },
+        transform,
+        consume,
+    )
+}
+
+/// The error a tripped [`CancelToken`] stops a pass with.
+fn cancelled() -> ReconError {
+    ReconError::Cancelled {
+        reason: "cell deadline exceeded or cancel token tripped".to_string(),
+    }
+}
+
+/// Locates a pass-2 failure: a failing source read, chunk map, or sink
+/// write is wrapped in [`ReconError::AtChunk`] with the 0-based index of the
+/// chunk it hit, so torn writes and full disks report *where* in the stream
+/// they died.
+fn at_chunk(chunk: usize, source: ReconError) -> ReconError {
+    ReconError::AtChunk {
+        chunk,
+        source: Box::new(source),
+    }
 }
 
 /// [`accumulate_source`] with an explicit batch size (exposed so tests can
@@ -436,7 +506,9 @@ pub fn accumulate_source_with_batch<S: RecordChunkSource + ?Sized>(
 }
 
 /// Reads the next segment (up to [`MOMENT_SEGMENT_CHUNKS`] chunks) into a
-/// self-anchored partial. Returns `None` once the source is exhausted.
+/// self-anchored partial: per-chunk partials, each anchored at its own first
+/// record, merged in chunk order. Returns `None` once the source is
+/// exhausted.
 fn next_segment_partial<S: RecordChunkSource + ?Sized>(
     source: &mut S,
     batch_size: usize,
@@ -458,22 +530,8 @@ fn next_segment_partial<S: RecordChunkSource + ?Sized>(
             break;
         }
         chunks += batch.len();
-        // The segment anchor: already established, or the first record of
-        // this batch. A batch of entirely empty chunks contributes nothing
-        // and leaves the anchor for a later batch to establish.
-        let anchor: Vec<f64> = match acc.shift() {
-            Some(s) => s.to_vec(),
-            None => match batch.iter().find(|c| c.rows() > 0) {
-                Some(c) => c.row(0).to_vec(),
-                None => continue,
-            },
-        };
         let partials: Vec<CovarianceAccumulator> =
-            randrecon_parallel::parallel_map_result(&batch, |chunk| {
-                let mut partial = CovarianceAccumulator::with_shift(anchor.clone());
-                partial.update_chunk(chunk)?;
-                Ok::<_, ReconError>(partial)
-            })?;
+            randrecon_parallel::parallel_map_result(&batch, |chunk| chunk_partial(m, chunk))?;
         for partial in &partials {
             acc.merge(partial)?;
         }
@@ -734,8 +792,9 @@ fn default_floor_from_disguised_covariance(sigma_y: &Matrix) -> f64 {
 /// attack once, sweep the reconstructed chunks into the sink.
 ///
 /// Pass 2 runs on an N-slot ring of depth [`slots`](Self::slots): the
-/// source is read on a producer thread, chunk maps fan across the shared
-/// pool, and the calling thread drains the sink, overlapping sink I/O with
+/// source is read on a producer thread (a random-access source's chunks are
+/// generated on the pool instead), chunk maps fan across the shared pool,
+/// and the calling thread drains the sink, overlapping sink I/O with
 /// compute. Chunks reach the sink in read order, so the output is
 /// byte-identical at every depth — including one slot, the inline
 /// sequential loop of [`StreamingDriver::sequential`] — and independent of
@@ -774,7 +833,6 @@ impl StreamingDriver {
     pub fn accumulate_moments<S: RecordChunkSource + Send + ?Sized>(
         source: &mut S,
     ) -> Result<StreamMoments> {
-        source.reset()?;
         let (acc, n_chunks) = accumulate_source(source)?;
         StreamMoments::from_accumulator(&acc, n_chunks)
     }
@@ -842,59 +900,28 @@ impl StreamingDriver {
     {
         let n = moments.n_records;
         let prepared = attack.prepare(moments, noise)?;
-
-        // Every pass-2 failure is located: a failing source read, chunk map,
-        // or sink write is wrapped in [`ReconError::AtChunk`] with the
-        // 0-based index of the chunk it hit, so torn writes and full disks
-        // report *where* in the stream they died.
-        fn at_chunk(chunk: usize, source: impl Into<ReconError>) -> ReconError {
-            ReconError::AtChunk {
-                chunk,
-                source: Box::new(source.into()),
-            }
-        }
-        fn cancelled() -> ReconError {
-            ReconError::Cancelled {
-                reason: "cell deadline exceeded or cancel token tripped".to_string(),
-            }
-        }
-        source.reset()?;
+        // The ring's explicit stages (see [`ring_sweep`]): chunks are read
+        // on the producer thread (or generated across the pool), then
+        // reconstructed across the pool with up to `slots / 2` chunks in
+        // flight, and sunk in chunk order on this thread. Delivery order
+        // and the per-chunk map are both independent of the depth, so the
+        // sink sees the exact sequential byte stream at every slot count.
         let mut swept = 0usize;
-        {
-            // The ring's explicit stages: read (+ on-the-fly disguise) on the
-            // producer thread, reconstruct across the pool with up to
-            // `slots / 2` chunks in flight, sink in chunk order on this
-            // thread. Delivery order and the per-chunk map are both
-            // independent of the depth, so the sink sees the exact
-            // sequential byte stream at every slot count.
-            let prepared_ref = &prepared;
-            let swept_ref = &mut swept;
-            let source_ref = &mut *source;
-            let producer_cancel = cancel.clone();
-            let mut produced = 0usize;
-            pipeline_ring(
-                self.slots,
-                move || -> Result<Option<Matrix>> {
-                    if producer_cancel.is_cancelled() {
-                        return Err(at_chunk(produced, cancelled()));
-                    }
-                    match source_ref.next_chunk().map_err(|e| at_chunk(produced, e))? {
-                        Some(chunk) => {
-                            *swept_ref += chunk.rows();
-                            produced += 1;
-                            Ok(Some(chunk))
-                        }
-                        None => Ok(None),
-                    }
-                },
-                |index, chunk| {
-                    prepared_ref
-                        .map_chunk(chunk)
-                        .map_err(|e| at_chunk(index, e))
-                },
-                |index, out| sink.consume_chunk(&out).map_err(|e| at_chunk(index, e)),
-            )?;
-        }
+        ring_sweep(
+            source,
+            self.slots,
+            Some(cancel),
+            at_chunk,
+            |index, chunk| {
+                let rows = chunk.rows();
+                let out = prepared.map_chunk(chunk).map_err(|e| at_chunk(index, e))?;
+                Ok((rows, out))
+            },
+            |index, (rows, out)| {
+                swept += rows;
+                sink.consume_chunk(&out).map_err(|e| at_chunk(index, e))
+            },
+        )?;
         if swept != n {
             return Err(ReconError::InvalidInput {
                 reason: format!(
@@ -1387,8 +1414,8 @@ mod tests {
     fn accumulation_is_bit_identical_across_batch_sizes() {
         // The batch size is `max_threads()` in production, i.e. machine-
         // dependent — so the accumulated statistics must not depend on it.
-        // Every chunk becomes a partial pinned to the stream-global anchor
-        // and merges in chunk order, whatever the batching.
+        // Every chunk becomes a partial anchored at its own first record and
+        // merges in chunk order, whatever the batching.
         let spectrum = EigenSpectrum::principal_plus_small(2, 90.0, 6, 1.0).unwrap();
         let source = SyntheticChunkSource::generate(&spectrum, 700, 64, 17).unwrap();
         let mut reference: Option<(Matrix, Vec<f64>)> = None;

@@ -211,7 +211,7 @@ proptest! {
             .map(|r| values.submatrix(r.start, r.end, 0, m).unwrap())
             .collect();
 
-        // Shared stream anchor (the accumulate_source structure).
+        // One shared anchor for every partial.
         let mut shared = CovarianceAccumulator::new(m);
         for cell in &cells {
             let mut partial = CovarianceAccumulator::with_shift(anchor.clone());
@@ -227,8 +227,9 @@ proptest! {
             prop_assert!((got - want).abs() <= 1e-12 * want.abs().max(1.0));
         }
 
-        // Per-cell anchors (each partial captures its own first record):
-        // the merge must translate every partial exactly.
+        // Per-cell anchors (each partial captures its own first record, the
+        // accumulate_source structure): the merge must translate every
+        // partial exactly.
         let mut translated = CovarianceAccumulator::new(m);
         for cell in &cells {
             let mut partial = CovarianceAccumulator::new(m);
@@ -245,7 +246,7 @@ proptest! {
     /// `accumulate_source` batches chunks by `max_threads()` — a
     /// machine-dependent number — so its result must be bit-identical for
     /// every batching of every chunking, not just the fixed sizes the unit
-    /// test pins: each chunk becomes one shared-anchor partial merged in
+    /// test pins: each chunk becomes one self-anchored partial merged in
     /// chunk order regardless of how chunks are grouped into batches.
     #[test]
     fn accumulate_source_is_batch_size_invariant_for_random_chunkings(
@@ -276,7 +277,7 @@ proptest! {
 
     /// Pass 1 on the N-slot ring must reproduce the pinned batch fold **bit
     /// for bit** at every ring depth, for every chunking: the ring merges
-    /// the same shared-anchor per-chunk partials in the same chunk order
+    /// the same self-anchored per-chunk partials in the same chunk order
     /// through the same two-level segment fold, so no depth may move a
     /// single ulp.
     #[test]

@@ -11,20 +11,27 @@
 //! reconstruction hashes across processes — together the two give the full
 //! slots × workers matrix.
 //!
+//! Two workloads feed the hash: a disguised in-memory table, read
+//! sequentially, and a disguised synthetic stream, whose chunks the driver
+//! generates on the pool through the source's random-access view. The
+//! synthetic stream is also run behind a wrapper that hides the view, and
+//! both paths must give the same bytes at every slot and worker count.
+//!
 //! The failure-path tests pin that an error from the sink mid-pipeline
 //! shuts the producer down and surfaces the located error instead of
-//! wedging the ring's channel, at every slot count.
+//! wedging the ring's channel, at every slot count, and that a tripped
+//! cancel token stops both read paths at the same chunk.
 
 use randrecon_core::streaming::{
-    ChunkReconstructor, RecordSink, StreamingBeDr, StreamingDriver, StreamingNdr, StreamingPcaDr,
-    StreamingSf, StreamingUdr, TableSink,
+    CancelToken, ChunkReconstructor, RecordSink, StreamMoments, StreamingBeDr, StreamingDriver,
+    StreamingNdr, StreamingPcaDr, StreamingSf, StreamingUdr, TableSink,
 };
 use randrecon_core::{ReconError, Result};
-use randrecon_data::chunks::TableChunkSource;
+use randrecon_data::chunks::{RecordChunkSource, SyntheticChunkSource, TableChunkSource};
 use randrecon_data::synthetic::{EigenSpectrum, SyntheticDataset};
 use randrecon_data::DataTable;
 use randrecon_linalg::Matrix;
-use randrecon_noise::additive::AdditiveRandomizer;
+use randrecon_noise::additive::{AdditiveRandomizer, DisguisedChunkSource};
 use randrecon_stats::rng::seeded_rng;
 
 const N: usize = 1_200;
@@ -49,6 +56,36 @@ fn disguised_workload() -> (DataTable, AdditiveRandomizer) {
     (disguised, randomizer)
 }
 
+/// A disguised synthetic stream: 1237 records, so the last chunk is short.
+/// Its chunks are child-seeded, so it offers a random-access view.
+fn synthetic_stream() -> DisguisedChunkSource<SyntheticChunkSource> {
+    let spectrum = EigenSpectrum::principal_plus_small(3, 250.0, M, 2.0).unwrap();
+    let original = SyntheticChunkSource::generate(&spectrum, N + 37, CHUNK, 4244).unwrap();
+    DisguisedChunkSource::new(original, AdditiveRandomizer::gaussian(7.0).unwrap(), 4245)
+}
+
+/// Forwards everything but the random-access view, so the driver reads the
+/// inner source sequentially on the ring's read stage.
+struct SequentialOnly<S>(S);
+
+impl<S: RecordChunkSource> RecordChunkSource for SequentialOnly<S> {
+    fn n_attributes(&self) -> usize {
+        self.0.n_attributes()
+    }
+
+    fn n_records_hint(&self) -> Option<usize> {
+        self.0.n_records_hint()
+    }
+
+    fn reset(&mut self) -> randrecon_data::Result<()> {
+        self.0.reset()
+    }
+
+    fn next_chunk(&mut self) -> randrecon_data::Result<Option<Matrix>> {
+        self.0.next_chunk()
+    }
+}
+
 fn attacks() -> Vec<Box<dyn ChunkReconstructor>> {
     vec![
         Box::new(StreamingNdr),
@@ -66,26 +103,155 @@ fn fnv64(hash: &mut u64, bytes: impl IntoIterator<Item = u8>) {
     }
 }
 
-/// Reconstructs the fixed workload with every streaming attack through a
-/// ring of the given depth and folds every output bit into one hash.
+/// Runs `attack` over `source` through a ring of depth `slots`.
+fn reconstruct<S: RecordChunkSource + Send + ?Sized>(
+    slots: usize,
+    attack: &dyn ChunkReconstructor,
+    source: &mut S,
+    noise: &randrecon_noise::NoiseModel,
+) -> Matrix {
+    let mut sink = TableSink::new(M);
+    let report = StreamingDriver { slots }
+        .run(attack, source, noise, &mut sink)
+        .unwrap();
+    assert_eq!(report.n_records, sink.rows(), "{}", attack.name());
+    sink.into_matrix().unwrap()
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Reconstructs both fixed workloads with every streaming attack through a
+/// ring of the given depth and folds every output bit into one hash. The
+/// synthetic stream runs on both read paths, which must agree bit for bit.
 fn pipeline_hash(slots: usize) -> u64 {
     let (disguised, randomizer) = disguised_workload();
     let noise = randomizer.model();
-    let driver = StreamingDriver { slots };
     let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
     for attack in attacks() {
         let mut source = TableChunkSource::new(&disguised, CHUNK).unwrap();
-        let mut sink = TableSink::new(M);
-        let report = driver
-            .run(attack.as_ref(), &mut source, noise, &mut sink)
-            .unwrap();
-        assert_eq!(report.n_records, N, "{}", attack.name());
-        let matrix = sink.into_matrix().unwrap();
+        let matrix = reconstruct(slots, attack.as_ref(), &mut source, noise);
+        assert_eq!(matrix.rows(), N, "{}", attack.name());
         for &v in matrix.as_slice() {
+            fnv64(&mut hash, v.to_bits().to_le_bytes());
+        }
+
+        let mut random_access = synthetic_stream();
+        assert!(random_access.random_access().is_some());
+        let noise = random_access.model().clone();
+        let generated = reconstruct(slots, attack.as_ref(), &mut random_access, &noise);
+        let mut sequential = SequentialOnly(synthetic_stream());
+        assert!(sequential.random_access().is_none());
+        let read = reconstruct(slots, attack.as_ref(), &mut sequential, &noise);
+        assert_eq!(generated.rows(), N + 37, "{}", attack.name());
+        assert!(
+            bits(generated.as_slice()) == bits(read.as_slice()),
+            "{} at {slots} slot(s): random-access and sequential reads differ",
+            attack.name()
+        );
+        for &v in generated.as_slice() {
             fnv64(&mut hash, v.to_bits().to_le_bytes());
         }
     }
     hash
+}
+
+#[test]
+fn random_access_and_sequential_reads_give_identical_moments() {
+    let moments = |s: &StreamMoments| {
+        (
+            s.n_records,
+            s.n_chunks,
+            bits(&s.mean),
+            bits(s.covariance.as_slice()),
+        )
+    };
+    let generated = StreamingDriver::accumulate_moments(&mut synthetic_stream()).unwrap();
+    let read =
+        StreamingDriver::accumulate_moments(&mut SequentialOnly(synthetic_stream())).unwrap();
+    assert_eq!(generated.n_chunks, (N + 37).div_ceil(CHUNK));
+    assert_eq!(moments(&generated), moments(&read));
+}
+
+/// Trips its token while consuming chunk `trip_at`, then keeps accepting.
+struct TrippingSink {
+    token: CancelToken,
+    trip_at: usize,
+    consumed: usize,
+}
+
+impl RecordSink for TrippingSink {
+    fn consume_chunk(&mut self, _chunk: &Matrix) -> Result<()> {
+        if self.consumed == self.trip_at {
+            self.token.trip();
+        }
+        self.consumed += 1;
+        Ok(())
+    }
+}
+
+/// The chunk index a cancelled pass 2 reports.
+fn cancelled_at<S: RecordChunkSource + Send + ?Sized>(
+    slots: usize,
+    source: &mut S,
+    token: &CancelToken,
+    sink: &mut dyn RecordSink,
+) -> usize {
+    let moments = StreamingDriver::accumulate_moments(source).unwrap();
+    let noise = randrecon_noise::NoiseModel::independent_gaussian(7.0).unwrap();
+    let err = StreamingDriver { slots }
+        .run_with_moments_cancellable(
+            &StreamingBeDr::default(),
+            &moments,
+            source,
+            &noise,
+            sink,
+            token,
+        )
+        .expect_err("a tripped token stops the pass");
+    assert!(err.is_cancelled(), "{err}");
+    match err {
+        ReconError::AtChunk { chunk, .. } => chunk,
+        other => panic!("cancellation is not located: {other}"),
+    }
+}
+
+#[test]
+fn tripped_cancel_token_stops_both_read_paths_at_the_same_chunk() {
+    // A token tripped before the pass stops it at chunk 0 at every depth.
+    for slots in SLOT_COUNTS {
+        let token = CancelToken::new();
+        token.trip();
+        let mut sink = TableSink::new(M);
+        assert_eq!(
+            cancelled_at(slots, &mut synthetic_stream(), &token, &mut sink),
+            0
+        );
+        let mut sequential = SequentialOnly(synthetic_stream());
+        assert_eq!(cancelled_at(slots, &mut sequential, &token, &mut sink), 0);
+        assert_eq!(sink.rows(), 0);
+    }
+    // Tripped while chunk 3 is sunk, the one-slot ring checks the token
+    // before handing out chunk 4, whichever path supplies it.
+    assert_eq!(cancelled_mid_stream(synthetic_stream()), (4, 4));
+    assert_eq!(
+        cancelled_mid_stream(SequentialOnly(synthetic_stream())),
+        (4, 4)
+    );
+}
+
+/// One-slot pass 2 with a sink that trips the token on chunk 3: the chunk
+/// index the cancellation reports, and the chunks the sink saw.
+fn cancelled_mid_stream<S: RecordChunkSource + Send>(mut source: S) -> (usize, usize) {
+    let token = CancelToken::new();
+    let mut sink = TrippingSink {
+        token: token.clone(),
+        trip_at: 3,
+        consumed: 0,
+    };
+    let at = cancelled_at(1, &mut source, &token, &mut sink);
+    (at, sink.consumed)
 }
 
 /// The sequential reference hash plus the assertion that every ring depth

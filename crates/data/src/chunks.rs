@@ -16,6 +16,11 @@
 //! The chunked CSV reader ([`crate::csv::CsvChunkReader`]) and the
 //! chunk-wise disguising adapter (`randrecon-noise`) implement the same
 //! trait.
+//!
+//! Sources whose chunk `i` is a pure function of `i` (the synthetic
+//! generator, and the disguising adapter over it) also offer a
+//! [`RandomAccess`] view, which lets the streaming engine generate chunks
+//! concurrently across its thread pool instead of on one reader thread.
 
 use crate::error::{DataError, Result};
 use crate::synthetic::{covariance_from_spectrum, random_orthogonal, EigenSpectrum};
@@ -39,6 +44,9 @@ use randrecon_stats::rng::seeded_rng;
 ///   source that resamples on reset would silently corrupt the attack.
 /// * `next_chunk` returns `Ok(None)` exactly once the source is exhausted;
 ///   calling it again keeps returning `Ok(None)` until the next `reset`.
+/// * A [`random_access`](RecordChunkSource::random_access) view, when
+///   offered, hands out exactly the chunks of a full sweep: `chunk_at(i)` is
+///   bit-identical to the `i`-th `next_chunk` after a `reset`.
 pub trait RecordChunkSource {
     /// Number of attributes (columns) of every chunk.
     fn n_attributes(&self) -> usize;
@@ -70,6 +78,59 @@ pub trait RecordChunkSource {
             }
         }
         Ok(())
+    }
+
+    /// A shareable random-access view of a full sweep's chunks, if this
+    /// source can produce any chunk on its own.
+    ///
+    /// The provided default offers none, and the streaming engine then reads
+    /// sequentially through [`next_chunk`](RecordChunkSource::next_chunk).
+    /// Sources whose chunks are independently (child-)seeded override it;
+    /// the engine then hands out chunk indices and generates the chunks
+    /// concurrently, in its transform stage, across the thread pool. The
+    /// view leaves the cursor alone.
+    fn random_access(&self) -> Option<RandomAccess<'_>> {
+        None
+    }
+}
+
+/// Random access to the chunks of one full sweep of a source: the chunk
+/// count plus `chunk_at(i)`, callable from any thread and in any order.
+///
+/// `chunk_at(i)` returns the same chunk the `i`-th
+/// [`next_chunk`](RecordChunkSource::next_chunk) of a sweep returns, and
+/// `Ok(None)` for `i ≥ n_chunks()`.
+pub struct RandomAccess<'a> {
+    n_chunks: usize,
+    chunk_at: ChunkAt<'a>,
+}
+
+/// The chunk generator behind a [`RandomAccess`] view.
+type ChunkAt<'a> = Box<dyn Fn(usize) -> Result<Option<Matrix>> + Send + Sync + 'a>;
+
+impl<'a> RandomAccess<'a> {
+    /// A view of `n_chunks` chunks drawn by `chunk_at`.
+    pub fn new(
+        n_chunks: usize,
+        chunk_at: impl Fn(usize) -> Result<Option<Matrix>> + Send + Sync + 'a,
+    ) -> Self {
+        RandomAccess {
+            n_chunks,
+            chunk_at: Box::new(chunk_at),
+        }
+    }
+
+    /// Chunks in a full sweep.
+    pub fn n_chunks(&self) -> usize {
+        self.n_chunks
+    }
+
+    /// Chunk `index`, or `None` past the last one.
+    pub fn chunk_at(&self, index: usize) -> Result<Option<Matrix>> {
+        if index >= self.n_chunks {
+            return Ok(None);
+        }
+        (self.chunk_at)(index)
     }
 }
 
@@ -152,7 +213,8 @@ impl RecordChunkSource for TableChunkSource<'_> {
 /// 500 k-record workload allocates one chunk at a time instead of the full
 /// table. The record *stream* differs from `SyntheticDataset::generate` for
 /// the same seed (chunks are sampled from child-seeded RNGs so resets
-/// replay exactly); the distribution is identical.
+/// replay exactly); the distribution is identical. Because each chunk has
+/// its own seed, the source offers a [`RandomAccess`] view.
 #[derive(Debug, Clone)]
 pub struct SyntheticChunkSource {
     sampler: MvnChunkSampler,
@@ -225,6 +287,13 @@ impl RecordChunkSource for SyntheticChunkSource {
     fn skip_chunks(&mut self, n_chunks: usize) -> Result<()> {
         self.sampler.skip_chunks(n_chunks);
         Ok(())
+    }
+
+    fn random_access(&self) -> Option<RandomAccess<'_>> {
+        let sampler = &self.sampler;
+        Some(RandomAccess::new(sampler.n_chunks(), move |index| {
+            Ok(sampler.chunk_at(index))
+        }))
     }
 }
 
@@ -299,6 +368,41 @@ mod tests {
         let second = materialize(&mut src).unwrap();
         assert_eq!(first.n_records(), 250);
         assert!(first.approx_eq(&second, 0.0));
+    }
+
+    #[test]
+    fn synthetic_random_access_is_the_sequential_sweep() {
+        let spectrum = EigenSpectrum::principal_plus_small(2, 50.0, 5, 1.0).unwrap();
+        // 250 records in chunks of 64: three full chunks and a short one.
+        let mut src = SyntheticChunkSource::generate(&spectrum, 250, 64, 11).unwrap();
+        src.reset().unwrap();
+        let mut sweep = Vec::new();
+        while let Some(chunk) = src.next_chunk().unwrap() {
+            sweep.push(chunk);
+        }
+        let view = src.random_access().expect("synthetic chunks are seekable");
+        assert_eq!(view.n_chunks(), 4);
+        // Out of order, as a thread pool would ask.
+        for index in [3, 0, 2, 1] {
+            let chunk = view.chunk_at(index).unwrap().unwrap();
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(chunk.shape(), sweep[index].shape());
+            assert_eq!(bits(&chunk), bits(&sweep[index]), "chunk {index}");
+        }
+        assert_eq!(view.chunk_at(3).unwrap().unwrap().rows(), 250 - 3 * 64);
+        assert!(view.chunk_at(4).unwrap().is_none());
+        drop(view);
+        // The view leaves the exhausted cursor where it was.
+        assert!(src.next_chunk().unwrap().is_none());
+    }
+
+    #[test]
+    fn table_source_offers_no_random_access() {
+        let t = table();
+        assert!(TableChunkSource::new(&t, 5)
+            .unwrap()
+            .random_access()
+            .is_none());
     }
 
     #[test]

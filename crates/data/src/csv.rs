@@ -171,24 +171,26 @@ fn parse_header(header: &str) -> Result<Schema> {
 
 /// Parses one record line into `m` numbers, appending them to `out`.
 /// `line_no` is the 1-based physical line for error reporting; malformed
-/// values are located by their 1-based column too. On any error the partial
-/// row is rolled back, so `out` always holds whole rows.
+/// values are located by their 1-based column too. Rust's `f64` parser
+/// accepts `NaN` and `inf`; such cells are rejected here, at the source
+/// boundary, rather than flowing silently into the moments. On any error
+/// the partial row is rolled back, so `out` always holds whole rows.
 fn parse_record(line: &str, m: usize, line_no: usize, out: &mut Vec<f64>) -> Result<()> {
     let start = out.len();
     let push = |col: usize, f: &str, out: &mut Vec<f64>| -> Result<()> {
-        match f.parse::<f64>() {
-            Ok(v) => {
+        let problem = match f.parse::<f64>() {
+            Ok(v) if v.is_finite() => {
                 out.push(v);
-                Ok(())
+                return Ok(());
             }
-            Err(_) => {
-                out.truncate(start);
-                Err(DataError::Parse {
-                    line: line_no,
-                    reason: format!("column {}: '{f}' is not a number", col + 1),
-                })
-            }
-        }
+            Ok(_) => "is not a finite number",
+            Err(_) => "is not a number",
+        };
+        out.truncate(start);
+        Err(DataError::Parse {
+            line: line_no,
+            reason: format!("column {}: '{f}' {problem}", col + 1),
+        })
     };
     if line.contains('"') {
         // Quoted (RFC-4180) row: split field-aware, then parse each field.
@@ -690,6 +692,53 @@ mod tests {
             }
             other => panic!("expected a located parse error, got {other:?}"),
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The located error a non-finite cell must produce.
+    fn assert_non_finite_error(result: Result<impl std::fmt::Debug>, line: usize, cell: &str) {
+        match result {
+            Err(DataError::Parse { line: at, reason }) => {
+                assert_eq!(at, line, "reason: {reason}");
+                assert!(
+                    reason.ends_with(&format!("'{cell}' is not a finite number")),
+                    "reason: {reason}"
+                );
+            }
+            other => panic!("expected a located parse error for {cell}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn read_csv_rejects_non_finite_cells() {
+        for cell in ["NaN", "nan", "inf", "-infinity", "+Infinity"] {
+            let text = format!("a,b\n1,2\n3,{cell}\n");
+            assert_non_finite_error(from_csv_string(&text), 3, cell);
+        }
+        // The quoted path rejects them too, and names the column.
+        match from_csv_string("a,b\n\"inf\",2\n") {
+            Err(DataError::Parse { line: 2, reason }) => {
+                assert_eq!(reason, "column 1: 'inf' is not a finite number");
+            }
+            other => panic!("expected a located parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn chunked_reader_rejects_non_finite_cells() {
+        let path = temp_path("non_finite");
+        std::fs::write(&path, "a,b,c\n1,2,3\n4,5,6\n7,\"inf\",9\n").unwrap();
+        let mut reader = CsvChunkReader::open(&path, 2).unwrap();
+        assert_eq!(reader.next_chunk().unwrap().unwrap().rows(), 2);
+        match reader.next_chunk() {
+            Err(DataError::Parse { line: 4, reason }) => {
+                assert_eq!(reason, "column 2: 'inf' is not a finite number");
+            }
+            other => panic!("expected a located parse error, got {other:?}"),
+        }
+        std::fs::write(&path, "a,b,c\n1,NaN,3\n").unwrap();
+        let mut reader = CsvChunkReader::open(&path, 2).unwrap();
+        assert_non_finite_error(reader.next_chunk(), 2, "NaN");
         std::fs::remove_file(&path).ok();
     }
 

@@ -10,7 +10,7 @@
 //!
 //! ## On-disk format
 //!
-//! There is one format, version 5. Every journal owns a [`ShardSlice`] of
+//! There is one format, version 6. Every journal owns a [`ShardSlice`] of
 //! its grid: a single-process sweep's journal owns the whole grid `0..n`,
 //! and a shard worker's journal owns the worker's (possibly non-contiguous,
 //! possibly empty) slice. Everything is hand-rolled little-endian binary
@@ -19,7 +19,7 @@
 //! ```text
 //! header (36 + 16 × n_ranges bytes):
 //!   magic        8  b"RRJOURN1"
-//!   version      4  u32 = 5
+//!   version      4  u32 = 6
 //!   spec_count   4  u32   — cells in the grid this journal belongs to
 //!   fingerprint  8  u64   — FNV-1a over the full spec list
 //!   n_ranges     4  u32   — ranges in the owned slice
@@ -94,8 +94,11 @@ use std::path::{Path, PathBuf};
 const MAGIC: &[u8; 8] = b"RRJOURN1";
 /// The one supported format. Versions 1 and 2 predate the supervised
 /// record payloads; 3 and 4 were the retired plain and single-range shard
-/// headers.
-const VERSION: u32 = 5;
+/// headers; 5 is this layout over the Box–Muller data stream. The grid
+/// fingerprint hashes only the specs, so the version is what keeps a
+/// journal of outcomes and moment frames drawn from an older normal sampler
+/// from resuming into a mixed-stream report.
+const VERSION: u32 = 6;
 /// Frame overhead preceding each record payload: `len` (4) + `crc` (8).
 const FRAME_OVERHEAD: usize = 12;
 
@@ -1048,8 +1051,18 @@ mod tests {
         put_u64(&mut v4_range, 0);
         put_u64(&mut v4_range, 2);
         // v1/v2: pre-supervision records; v3: the plain header; v4: the
-        // single-range shard header. Each carries one record after it.
-        for (version, extension) in [(1, Vec::new()), (3, Vec::new()), (4, v4_range)] {
+        // single-range shard header; v5: the current slice header over the
+        // Box–Muller data stream. Each carries one record after it.
+        let mut v5_slice = Vec::new();
+        put_u32(&mut v5_slice, 1);
+        put_u64(&mut v5_slice, 0);
+        put_u64(&mut v5_slice, 2);
+        for (version, extension) in [
+            (1, Vec::new()),
+            (3, Vec::new()),
+            (4, v4_range),
+            (5, v5_slice),
+        ] {
             let mut bytes = legacy_header(&grid, version, &extension);
             bytes.extend(frame_bytes(&encode_record(0, &sample_completed("cell0"))));
             std::fs::write(&path, &bytes).unwrap();
@@ -1616,7 +1629,7 @@ mod tests {
             let header = header_bytes(&grid, &slice);
             assert_eq!(header.len(), len, "slice {text:?}");
             assert_eq!(&header[..8], b"RRJOURN1");
-            assert_eq!(&header[8..12], &5u32.to_le_bytes());
+            assert_eq!(&header[8..12], &6u32.to_le_bytes());
             assert_eq!(&header[12..16], &6u32.to_le_bytes());
             assert_eq!(&header[16..24], &grid_fingerprint(&grid).to_le_bytes());
             let n_ranges = slice.ranges().len() as u32;

@@ -9,7 +9,7 @@
 use crate::error::{NoiseError, Result};
 use crate::model::NoiseModel;
 use rand::Rng;
-use randrecon_data::chunks::RecordChunkSource;
+use randrecon_data::chunks::{RandomAccess, RecordChunkSource};
 use randrecon_data::{DataError, DataTable};
 use randrecon_linalg::Matrix;
 use randrecon_stats::distributions::{ContinuousDistribution, Normal, Uniform};
@@ -56,18 +56,28 @@ impl AdditiveRandomizer {
         &self.model
     }
 
-    /// Generates the noise matrix `R` (same shape as the data) without adding it.
-    pub fn sample_noise<R: Rng + ?Sized>(&self, n: usize, m: usize, rng: &mut R) -> Result<Matrix> {
+    /// Adds fresh noise to `values` in place, `Y = X + R`, drawing `R` in
+    /// row-major order: `σ·z` per entry for Gaussian noise, one uniform
+    /// draw per entry for uniform noise, and one MVN sample per record for
+    /// correlated noise. The one noise routine: [`disguise`](Self::disguise),
+    /// [`sample_noise`](Self::sample_noise) and the chunk-wise
+    /// [`DisguisedChunkSource`] all draw through it.
+    pub fn add_noise<R: Rng + ?Sized>(&self, values: &mut Matrix, rng: &mut R) -> Result<()> {
         match &self.model {
             NoiseModel::IndependentGaussian { sigma } => {
                 let dist = Normal::new(0.0, *sigma).map_err(NoiseError::Stats)?;
-                Ok(Matrix::from_fn(n, m, |_, _| dist.sample(rng)))
+                for v in values.as_mut_slice() {
+                    *v += dist.sample(rng);
+                }
             }
             NoiseModel::IndependentUniform { sigma } => {
                 let dist = Uniform::centered_with_std(*sigma).map_err(NoiseError::Stats)?;
-                Ok(Matrix::from_fn(n, m, |_, _| dist.sample(rng)))
+                for v in values.as_mut_slice() {
+                    *v += dist.sample(rng);
+                }
             }
             NoiseModel::Correlated { covariance } => {
+                let m = values.cols();
                 if covariance.rows() != m {
                     return Err(NoiseError::DimensionMismatch {
                         reason: format!(
@@ -78,16 +88,24 @@ impl AdditiveRandomizer {
                     });
                 }
                 let mvn = MultivariateNormal::zero_mean(covariance.clone())?;
-                Ok(mvn.sample_matrix(n, rng))
+                values.add_assign_matrix(&mvn.sample_matrix(values.rows(), rng))?;
             }
         }
+        Ok(())
+    }
+
+    /// Generates the noise matrix `R` (same shape as the data) without adding
+    /// it: [`add_noise`](Self::add_noise) into zeros.
+    pub fn sample_noise<R: Rng + ?Sized>(&self, n: usize, m: usize, rng: &mut R) -> Result<Matrix> {
+        let mut noise = Matrix::zeros(n, m);
+        self.add_noise(&mut noise, rng)?;
+        Ok(noise)
     }
 
     /// Disguises a table: returns `Y = X + R` with fresh noise.
     pub fn disguise<R: Rng + ?Sized>(&self, table: &DataTable, rng: &mut R) -> Result<DataTable> {
-        let (n, m) = table.values().shape();
-        let noise = self.sample_noise(n, m, rng)?;
-        let disguised = table.values().add(&noise)?;
+        let mut disguised = table.values().clone();
+        self.add_noise(&mut disguised, rng)?;
         Ok(table.with_values(disguised)?)
     }
 
@@ -112,11 +130,15 @@ impl AdditiveRandomizer {
 /// materialized.
 ///
 /// Chunk `i`'s noise is drawn from a child-seeded RNG
-/// ([`child_seed`]`(base_seed, i)`), which keeps the stream **restartable**:
-/// after [`reset`](RecordChunkSource::reset) the adapter replays the
-/// identical disguised chunks, exactly what the two-pass streaming attack
-/// engine requires (pass 1 estimates Σ̂ and μ̂ from the same disguised values
-/// pass 2 reconstructs from).
+/// ([`child_seed`]`(base_seed, i)`) and added in place into the chunk the
+/// inner source produced, which keeps the stream **restartable**: after
+/// [`reset`](RecordChunkSource::reset) the adapter replays the identical
+/// disguised chunks, exactly what the two-pass streaming attack engine
+/// requires (pass 1 estimates Σ̂ and μ̂ from the same disguised values pass 2
+/// reconstructs from). For the same reason chunk `i` depends on `i` alone,
+/// so the adapter forwards the inner source's
+/// [`random_access`](RecordChunkSource::random_access) view, disguising
+/// each chunk it hands out.
 #[derive(Debug, Clone)]
 pub struct DisguisedChunkSource<S> {
     inner: S,
@@ -152,6 +174,21 @@ impl<S: RecordChunkSource> DisguisedChunkSource<S> {
     }
 }
 
+/// Adds chunk `index`'s noise to `chunk` in place.
+fn disguise_chunk(
+    randomizer: &AdditiveRandomizer,
+    base_seed: u64,
+    index: u64,
+    chunk: &mut Matrix,
+) -> randrecon_data::Result<()> {
+    let mut rng = seeded_rng(child_seed(base_seed, index));
+    randomizer
+        .add_noise(chunk, &mut rng)
+        .map_err(|e| DataError::Stream {
+            reason: format!("noise sampling failed: {e}"),
+        })
+}
+
 impl<S: RecordChunkSource> RecordChunkSource for DisguisedChunkSource<S> {
     fn n_attributes(&self) -> usize {
         self.inner.n_attributes()
@@ -168,19 +205,17 @@ impl<S: RecordChunkSource> RecordChunkSource for DisguisedChunkSource<S> {
     }
 
     fn next_chunk(&mut self) -> randrecon_data::Result<Option<Matrix>> {
-        let chunk = match self.inner.next_chunk()? {
-            Some(c) => c,
-            None => return Ok(None),
+        let Some(mut chunk) = self.inner.next_chunk()? else {
+            return Ok(None);
         };
-        let mut rng = seeded_rng(child_seed(self.base_seed, self.chunk_index));
+        disguise_chunk(
+            &self.randomizer,
+            self.base_seed,
+            self.chunk_index,
+            &mut chunk,
+        )?;
         self.chunk_index += 1;
-        let noise = self
-            .randomizer
-            .sample_noise(chunk.rows(), chunk.cols(), &mut rng)
-            .map_err(|e| DataError::Stream {
-                reason: format!("noise sampling failed: {e}"),
-            })?;
-        Ok(Some(chunk.add(&noise)?))
+        Ok(Some(chunk))
     }
 
     fn skip_chunks(&mut self, n_chunks: usize) -> randrecon_data::Result<()> {
@@ -190,12 +225,24 @@ impl<S: RecordChunkSource> RecordChunkSource for DisguisedChunkSource<S> {
         self.chunk_index += n_chunks as u64;
         Ok(())
     }
+
+    fn random_access(&self) -> Option<RandomAccess<'_>> {
+        let inner = self.inner.random_access()?;
+        let (randomizer, base_seed) = (&self.randomizer, self.base_seed);
+        Some(RandomAccess::new(inner.n_chunks(), move |index| {
+            let Some(mut chunk) = inner.chunk_at(index)? else {
+                return Ok(None);
+            };
+            disguise_chunk(randomizer, base_seed, index as u64, &mut chunk)?;
+            Ok(Some(chunk))
+        }))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use randrecon_data::chunks::{materialize, TableChunkSource};
+    use randrecon_data::chunks::{materialize, SyntheticChunkSource, TableChunkSource};
     use randrecon_data::synthetic::{EigenSpectrum, SyntheticDataset};
     use randrecon_stats::summary;
 
@@ -315,6 +362,76 @@ mod tests {
         }
         let inner = disguised.into_inner();
         assert_eq!(inner.n_records_hint(), Some(120));
+    }
+
+    #[test]
+    fn disguise_and_disguise_with_noise_draw_the_same_noise() {
+        let ds = dataset(300, 17);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for r in [
+            AdditiveRandomizer::gaussian(2.0).unwrap(),
+            AdditiveRandomizer::uniform(2.0).unwrap(),
+            AdditiveRandomizer::correlated(ds.covariance.scale(0.5)).unwrap(),
+        ] {
+            let disguised = r.disguise(&ds.table, &mut seeded_rng(8)).unwrap();
+            let (with_noise, noise) = r
+                .disguise_with_noise(&ds.table, &mut seeded_rng(8))
+                .unwrap();
+            assert_eq!(bits(disguised.values()), bits(with_noise.values()));
+            let mut by_hand = ds.table.values().clone();
+            r.add_noise(&mut by_hand, &mut seeded_rng(8)).unwrap();
+            assert_eq!(bits(&by_hand), bits(disguised.values()));
+            assert_eq!(
+                bits(&noise),
+                bits(&r.sample_noise(300, 5, &mut seeded_rng(8)).unwrap())
+            );
+        }
+    }
+
+    #[test]
+    fn disguised_random_access_is_the_sequential_sweep() {
+        let spectrum = EigenSpectrum::principal_plus_small(2, 50.0, 5, 2.0).unwrap();
+        // 500 records in chunks of 128: three full chunks and a short one.
+        let original = SyntheticChunkSource::generate(&spectrum, 500, 128, 3).unwrap();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for randomizer in [
+            AdditiveRandomizer::gaussian(2.0).unwrap(),
+            AdditiveRandomizer::uniform(2.0).unwrap(),
+            AdditiveRandomizer::correlated(original.covariance().scale(0.5)).unwrap(),
+        ] {
+            let mut disguised = DisguisedChunkSource::new(original.clone(), randomizer, 19);
+            let mut sweep = Vec::new();
+            while let Some(chunk) = disguised.next_chunk().unwrap() {
+                sweep.push(chunk);
+            }
+            let view = disguised
+                .random_access()
+                .expect("forwarded from the generator");
+            assert_eq!(view.n_chunks(), 4);
+            for index in [3, 1, 0, 2] {
+                let chunk = view.chunk_at(index).unwrap().unwrap();
+                assert_eq!(bits(&chunk), bits(&sweep[index]), "chunk {index}");
+            }
+            assert_eq!(view.chunk_at(3).unwrap().unwrap().rows(), 500 - 3 * 128);
+            assert!(view.chunk_at(4).unwrap().is_none());
+            // Noise went in: the view is not the generator's view.
+            let raw = original
+                .random_access()
+                .unwrap()
+                .chunk_at(0)
+                .unwrap()
+                .unwrap();
+            assert_ne!(bits(&raw), bits(&sweep[0]));
+        }
+    }
+
+    #[test]
+    fn disguised_sequential_source_offers_no_random_access() {
+        let ds = dataset(40, 5);
+        let source = TableChunkSource::new(&ds.table, 16).unwrap();
+        let disguised =
+            DisguisedChunkSource::new(source, AdditiveRandomizer::gaussian(1.0).unwrap(), 1);
+        assert!(disguised.random_access().is_none());
     }
 
     #[test]

@@ -4,9 +4,13 @@
 //! synthetic original data (Section 7.1, step 4) and the correlated noise of
 //! the improved randomization scheme (Section 8.1). Sampling is Cholesky-based:
 //! `x = μ + L z` with `z ~ N(0, I)` and `Σ = L Lᵀ`.
+//!
+//! The chunked [`MvnChunkSampler`] derives each chunk from its own child seed,
+//! so any chunk can be drawn on its own ([`MvnChunkSampler::chunk_at`]), in
+//! any order or on any thread, bit-identical to a sequential sweep.
 
 use crate::error::{Result, StatsError};
-use crate::rng::{standard_normal_fill, standard_normal_vec};
+use crate::rng::{child_seed, seeded_rng, standard_normal_fill, standard_normal_vec};
 use rand::Rng;
 use randrecon_linalg::decomposition::Cholesky;
 use randrecon_linalg::Matrix;
@@ -17,6 +21,9 @@ pub struct MultivariateNormal {
     mean: Vec<f64>,
     covariance: Matrix,
     cholesky: Cholesky,
+    /// `Lᵀ`, formed once so batches multiply by it through the blocked
+    /// `matmul` kernel.
+    l_transpose: Matrix,
 }
 
 impl MultivariateNormal {
@@ -36,10 +43,12 @@ impl MultivariateNormal {
             });
         }
         let cholesky = Cholesky::new(&covariance)?;
+        let l_transpose = cholesky.l().transpose();
         Ok(MultivariateNormal {
             mean,
             covariance,
             cholesky,
+            l_transpose,
         })
     }
 
@@ -83,18 +92,17 @@ impl MultivariateNormal {
     /// Draws `n` samples as an `n × dim` matrix (records are rows), the layout
     /// the rest of the workspace uses for data sets.
     ///
-    /// The standard-normal draws fill one `n × dim` matrix `Z` in a single
-    /// batched Box–Muller pass ([`standard_normal_fill`]: two normals per
-    /// uniform pair, fused `sin_cos`), and the covariance is applied as a
-    /// single batched product `Z Lᵀ` through the blocked matmul kernel — the
-    /// Cholesky factor is computed once at construction and reused for every
-    /// batch.
+    /// The standard-normal draws fill one `n × dim` matrix `Z` row by row
+    /// ([`standard_normal_fill`], the ziggurat), and the covariance is
+    /// applied as one product `Z Lᵀ` on the blocked 4×8-microkernel
+    /// `matmul` against the `Lᵀ` formed at construction. The product is
+    /// bit-identical to [`Matrix::matmul_naive`] at every thread count.
     pub fn sample_matrix<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Matrix {
         let dim = self.dim();
         let mut z = Matrix::zeros(n, dim);
         standard_normal_fill(z.as_mut_slice(), rng);
         let mut out = z
-            .matmul_transpose_b(self.cholesky.l())
+            .matmul(&self.l_transpose)
             .expect("sample_matrix shapes always agree");
         if self.mean.iter().any(|&m| m != 0.0) {
             out.add_row_broadcast(&self.mean)
@@ -138,16 +146,19 @@ impl MultivariateNormal {
 /// ever materializing the full matrix — the generator behind the streaming
 /// benchmarks, where a 500 k-record workload must never allocate an `n × m`
 /// buffer. Chunk `i` is sampled with its own child-seeded RNG
-/// ([`crate::rng::child_seed`]`(base_seed, i)`), which buys two properties:
+/// ([`child_seed`]`(base_seed, i)`), which buys three properties:
 ///
 /// * **Restartability** — after [`MvnChunkSampler::reset`] the exact same
 ///   chunk sequence is produced again, which is what the two-pass streaming
 ///   attack engine in `randrecon-core` requires of its record sources.
 /// * **Chunk-size stability of the seed layout** — chunk boundaries don't
 ///   leak one chunk's draws into the next, so resets cannot drift.
+/// * **Random access** — [`chunk_at`](MvnChunkSampler::chunk_at) draws any
+///   chunk from `&self`, so chunks can be generated concurrently;
+///   [`next_chunk`](MvnChunkSampler::next_chunk) is `chunk_at` at a cursor.
 ///
-/// Each chunk is drawn through the same batched Box–Muller + `Z Lᵀ` path as
-/// [`MultivariateNormal::sample_matrix`], reusing the Cholesky factor
+/// Each chunk is drawn through [`MultivariateNormal::sample_matrix`]
+/// (ziggurat draws, then `Z Lᵀ` on the blocked kernel), reusing the factor
 /// computed at construction.
 #[derive(Debug, Clone)]
 pub struct MvnChunkSampler {
@@ -155,6 +166,8 @@ pub struct MvnChunkSampler {
     n: usize,
     chunk_rows: usize,
     base_seed: u64,
+    /// Index of the next chunk [`next_chunk`](MvnChunkSampler::next_chunk)
+    /// returns.
     cursor: usize,
 }
 
@@ -198,6 +211,11 @@ impl MvnChunkSampler {
         self.chunk_rows
     }
 
+    /// Chunks in a full sweep.
+    pub fn n_chunks(&self) -> usize {
+        self.n.div_ceil(self.chunk_rows)
+    }
+
     /// The underlying distribution.
     pub fn distribution(&self) -> &MultivariateNormal {
         &self.mvn
@@ -215,22 +233,27 @@ impl MvnChunkSampler {
     /// bit-identical to the ones a full sequential sweep would produce at
     /// the same positions.
     pub fn skip_chunks(&mut self, n_chunks: usize) {
-        self.cursor = self
-            .cursor
-            .saturating_add(n_chunks.saturating_mul(self.chunk_rows))
-            .min(self.n);
+        self.cursor = self.cursor.saturating_add(n_chunks).min(self.n_chunks());
+    }
+
+    /// Chunk `index` (`rows × dim`) of a full sweep, or `None` past the last
+    /// one — a pure function of the seed and `index`, independent of the
+    /// cursor.
+    pub fn chunk_at(&self, index: usize) -> Option<Matrix> {
+        let start = index.checked_mul(self.chunk_rows)?;
+        if start >= self.n {
+            return None;
+        }
+        let rows = self.chunk_rows.min(self.n - start);
+        let mut rng = seeded_rng(child_seed(self.base_seed, index as u64));
+        Some(self.mvn.sample_matrix(rows, &mut rng))
     }
 
     /// Returns the next chunk (`rows × dim`), or `None` after the last one.
     pub fn next_chunk(&mut self) -> Option<Matrix> {
-        if self.cursor >= self.n {
-            return None;
-        }
-        let rows = self.chunk_rows.min(self.n - self.cursor);
-        let chunk_index = (self.cursor / self.chunk_rows) as u64;
-        let mut rng = crate::rng::seeded_rng(crate::rng::child_seed(self.base_seed, chunk_index));
-        self.cursor += rows;
-        Some(self.mvn.sample_matrix(rows, &mut rng))
+        let chunk = self.chunk_at(self.cursor)?;
+        self.cursor += 1;
+        Some(chunk)
     }
 }
 
@@ -249,7 +272,6 @@ fn lower_triangular_matvec(l: &Matrix, v: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::seeded_rng;
     use crate::summary;
 
     fn cov2() -> Matrix {
@@ -379,6 +401,53 @@ mod tests {
         assert!((cov.get(0, 0) - 4.0).abs() < 0.2);
         assert!((cov.get(1, 1) - 2.0).abs() < 0.12);
         assert!((cov.get(0, 1) - 1.5).abs() < 0.12);
+    }
+
+    /// An AR(1)-shaped `dim × dim` covariance, `Σᵢⱼ = 0.5^|i−j|`.
+    fn toeplitz(dim: usize) -> Matrix {
+        Matrix::from_fn(dim, dim, |i, j| 0.5f64.powi(i.abs_diff(j) as i32))
+    }
+
+    #[test]
+    fn sample_matrix_is_bit_identical_to_the_naive_product() {
+        // 1031 × 64 × 64 clears the parallel threshold and leaves a row
+        // tail, so the pool-split blocked kernel is what gets compared.
+        let mvn = MultivariateNormal::zero_mean(toeplitz(64)).unwrap();
+        let n = 1031;
+        let sample = mvn.sample_matrix(n, &mut seeded_rng(8));
+        let z = Matrix::from_flat(n, 64, standard_normal_vec(n * 64, &mut seeded_rng(8))).unwrap();
+        let naive = z.matmul_naive(&mvn.cholesky.l().transpose()).unwrap();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&sample), bits(&naive));
+    }
+
+    #[test]
+    fn chunk_at_is_the_ith_sequential_chunk() {
+        let mvn = MultivariateNormal::zero_mean(toeplitz(5)).unwrap();
+        // 23 records in chunks of 10: 10, 10, then a short chunk of 3.
+        let mut sampler = MvnChunkSampler::new(mvn, 23, 10, 41).unwrap();
+        assert_eq!(sampler.n_chunks(), 3);
+        let mut index = 0;
+        while let Some(chunk) = sampler.next_chunk() {
+            let direct = sampler.chunk_at(index).unwrap();
+            assert_eq!(direct.shape(), chunk.shape());
+            assert!(direct.approx_eq(&chunk, 0.0), "chunk {index}");
+            index += 1;
+        }
+        assert_eq!(index, 3);
+        assert_eq!(sampler.chunk_at(2).unwrap().rows(), 3);
+        assert!(sampler.chunk_at(3).is_none());
+        assert!(sampler.chunk_at(usize::MAX).is_none());
+        // A skip is a cursor jump onto the same chunks.
+        sampler.reset();
+        sampler.skip_chunks(2);
+        assert!(sampler
+            .next_chunk()
+            .unwrap()
+            .approx_eq(&sampler.chunk_at(2).unwrap(), 0.0));
+        sampler.reset();
+        sampler.skip_chunks(7);
+        assert!(sampler.next_chunk().is_none());
     }
 
     #[test]
