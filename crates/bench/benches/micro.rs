@@ -30,6 +30,12 @@
 //!   preserved per-row sweep at n = 1000, m ∈ {128, 256}
 //!   (`sample_covariance_n1000/256` vs `sample_covariance_rowsweep_n1000/256`,
 //!   the carried ≥1.3× ratio).
+//! * `csv` — one 8192 × 64 disguised chunk of CSV text parsed and
+//!   formatted in memory by the banded codec (`from_csv_string` and
+//!   `CsvChunkWriter` over a `Vec<u8>`) and by the per-line and per-value
+//!   seed loops it replaced (`randrecon_bench::csv_read_chunk_seed` /
+//!   `csv_write_chunk_seed`): `csv_parse_seed/8192` vs `csv_parse/8192` and
+//!   `csv_format_seed/8192` vs `csv_format/8192` are the two codec ratios.
 //! * `scenario`, `journal`, `shard`, `supervise`, `moment_merge` — one
 //!   8-workload grid ([`seed_grid_specs`]) through the runner vs a
 //!   hand-rolled loop (≤5% overhead), journaled vs plain (≤5%), sharded in
@@ -40,7 +46,10 @@
 //! carried ratios.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use randrecon_bench::{covariance_matrix_rowsweep_seed, matmul_blocked_axpy_seed};
+use randrecon_bench::{
+    covariance_matrix_rowsweep_seed, csv_read_chunk_seed, csv_write_chunk_seed,
+    matmul_blocked_axpy_seed,
+};
 use randrecon_core::be_dr::BeDr;
 use randrecon_core::streaming::{
     ChunkReconstructor, DiscardSink, StreamingBeDr, StreamingDriver, StreamingNdr, StreamingPcaDr,
@@ -48,6 +57,7 @@ use randrecon_core::streaming::{
 };
 use randrecon_core::Reconstructor;
 use randrecon_data::chunks::{SyntheticChunkSource, TableChunkSource};
+use randrecon_data::csv::{from_csv_string, to_csv_string, CsvChunkWriter};
 use randrecon_data::synthetic::{EigenSpectrum, SyntheticDataset};
 use randrecon_data::DataTable;
 use randrecon_experiments::scenario::{
@@ -374,6 +384,66 @@ fn bench_pipeline_ring(c: &mut Criterion) {
 /// The 8-workload grid the runner, journal, shard, supervise and
 /// moment-merge groups share: 2 000 × 16 records on `engine`, one axis
 /// sweeping the *seed*, so every cell is its own workload group.
+/// Rows of the `csv` group's chunk: the streaming engine's default chunk.
+const CSV_ROWS: usize = 8192;
+
+/// The CSV codec on one disguised `CSV_ROWS` × 64 chunk in memory, against
+/// the per-line reader and per-value `format!` writer it replaced. Both
+/// parse benches read the header and every record; both format benches
+/// write every record into a `Vec<u8>`.
+fn bench_csv(c: &mut Criterion) {
+    use std::io::BufRead;
+
+    let mut group = c.benchmark_group("csv");
+    group.sample_size(10);
+    let (table, _) = kernel_workload(CSV_ROWS);
+    let text = to_csv_string(&table);
+    let chunk = table.values();
+
+    group.bench_with_input(BenchmarkId::new("csv_parse", CSV_ROWS), &text, |b, text| {
+        b.iter(|| black_box(from_csv_string(text).unwrap()))
+    });
+    group.bench_with_input(
+        BenchmarkId::new("csv_parse_seed", CSV_ROWS),
+        &text,
+        |b, text| {
+            b.iter(|| {
+                let mut lines = text.as_bytes().lines();
+                lines.next();
+                black_box(
+                    csv_read_chunk_seed(&mut lines, &mut 1, KERNEL_ATTRS, CSV_ROWS)
+                        .unwrap()
+                        .unwrap(),
+                )
+            })
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new("csv_format", CSV_ROWS),
+        chunk,
+        |b, chunk| {
+            b.iter(|| {
+                let out = Vec::with_capacity(text.len());
+                let mut writer = CsvChunkWriter::new(out, table.schema()).unwrap();
+                writer.write_chunk(chunk).unwrap();
+                black_box(writer.finish().unwrap())
+            })
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new("csv_format_seed", CSV_ROWS),
+        chunk,
+        |b, chunk| {
+            b.iter(|| {
+                let mut out = Vec::with_capacity(text.len());
+                csv_write_chunk_seed(chunk, &mut out).unwrap();
+                black_box(out)
+            })
+        },
+    );
+    group.finish();
+}
+
 fn seed_grid_specs(engine: EngineSpec) -> Vec<ScenarioSpec> {
     let mut base = ScenarioSpec::synthetic_quick("bench", 2_000, 16, 2);
     base.engine = engine;
@@ -648,6 +718,7 @@ criterion_group!(
     bench_kernels_v3,
     bench_streaming,
     bench_pipeline_ring,
+    bench_csv,
     bench_scenario_runner,
     bench_journal,
     bench_shard,

@@ -1,14 +1,19 @@
 //! Benchmark support crate.
 //!
-//! Besides hosting the `benches/` harnesses, this crate preserves the two
+//! Besides hosting the `benches/` harnesses, this crate preserves the
 //! pre-optimization kernels that still back a carried bench ratio and pin
 //! bit-identity with their production successors: the per-row covariance
-//! sweep (≥1.3× for the blocked rank-update at m = 256) and the axpy-sweep
-//! blocked matmul (≥1.5× for the register microkernel at 512²). The
-//! unblocked matmul and the Jacobi eigensolver references live in
+//! sweep (≥1.3× for the blocked rank-update at m = 256), the axpy-sweep
+//! blocked matmul (≥1.5× for the register microkernel at 512²), and the
+//! per-line CSV reader and per-value `format!` writer that the banded CSV
+//! codec replaced (its bytes, bits and errors are pinned against them).
+//! The unblocked matmul and the Jacobi eigensolver references live in
 //! `randrecon-linalg` as `matmul_naive` and `eigen_jacobi`.
 
+use randrecon_data::csv::split_csv_fields;
+use randrecon_data::{DataError, Result};
 use randrecon_linalg::Matrix;
+use std::io::{BufRead, Lines, Write};
 
 /// Pre-blocking rank-update covariance: the PR-1…PR-9 single-pass sweep —
 /// one centered scratch row per record, one full pass over the upper
@@ -107,10 +112,114 @@ pub fn matmul_blocked_axpy_seed(a: &Matrix, b: &Matrix) -> Matrix {
     Matrix::from_flat(m, n, c).expect("shape is consistent by construction")
 }
 
+/// The per-line CSV record loop `CsvChunkReader::next_chunk` ran before
+/// the banded codec: an owned `String` per line through `BufRead::lines`,
+/// blank lines skipped by `trim`, every record split once to count its
+/// fields and again to parse them, one value at a time. Reads up to
+/// `max_rows` records of `m` values from `lines`; `line_no` is the physical
+/// line last read (the header is line 1).
+pub fn csv_read_chunk_seed<B: BufRead>(
+    lines: &mut Lines<B>,
+    line_no: &mut usize,
+    m: usize,
+    max_rows: usize,
+) -> Result<Option<Matrix>> {
+    let mut data: Vec<f64> = Vec::new();
+    let mut rows = 0usize;
+    while rows < max_rows {
+        let line = match lines.next() {
+            Some(l) => l?,
+            None => break,
+        };
+        *line_no += 1;
+        if line.trim().is_empty() {
+            continue;
+        }
+        parse_record_seed(&line, m, *line_no, &mut data)?;
+        rows += 1;
+    }
+    if rows == 0 {
+        return Ok(None);
+    }
+    Ok(Some(Matrix::from_flat(rows, m, data)?))
+}
+
+/// The seed reader's record parser: a quoted line is split field-aware, any
+/// other is split on commas to count the fields and split again to parse
+/// them.
+fn parse_record_seed(line: &str, m: usize, line_no: usize, out: &mut Vec<f64>) -> Result<()> {
+    let push = |col: usize, f: &str, out: &mut Vec<f64>| -> Result<()> {
+        let problem = match f.parse::<f64>() {
+            Ok(v) if v.is_finite() => {
+                out.push(v);
+                return Ok(());
+            }
+            Ok(_) => "is not a finite number",
+            Err(_) => "is not a number",
+        };
+        Err(DataError::Parse {
+            line: line_no,
+            reason: format!("column {}: '{f}' {problem}", col + 1),
+        })
+    };
+    if line.contains('"') {
+        let fields = split_csv_fields(line).map_err(|reason| DataError::Parse {
+            line: line_no,
+            reason,
+        })?;
+        if fields.len() != m {
+            return Err(DataError::Parse {
+                line: line_no,
+                reason: format!("expected {m} fields, found {}", fields.len()),
+            });
+        }
+        for (col, f) in fields.iter().enumerate() {
+            push(col, f.trim(), out)?;
+        }
+        return Ok(());
+    }
+    let fields = line.split(',').count();
+    if fields != m {
+        return Err(DataError::Parse {
+            line: line_no,
+            reason: format!("expected {m} fields, found {fields}"),
+        });
+    }
+    for (col, f) in line.split(',').enumerate() {
+        push(col, f.trim(), out)?;
+    }
+    Ok(())
+}
+
+/// The per-value loop `CsvChunkWriter::write_chunk` ran before the banded
+/// codec: a `format!` `String` per value, pushed into a line buffer that is
+/// written once per record.
+pub fn csv_write_chunk_seed<W: Write>(chunk: &Matrix, writer: &mut W) -> std::io::Result<()> {
+    let mut line = String::new();
+    for row in chunk.row_iter() {
+        line.clear();
+        for (j, v) in row.iter().enumerate() {
+            if j > 0 {
+                line.push(',');
+            }
+            line.push_str(&format!("{v}"));
+        }
+        line.push('\n');
+        writer.write_all(line.as_bytes())?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use randrecon_data::chunks::RecordChunkSource;
+    use randrecon_data::csv::{
+        from_csv_string, to_csv_string, CsvChunkReader, CsvChunkWriter, BAND_ROWS,
+    };
     use randrecon_data::synthetic::{EigenSpectrum, SyntheticDataset};
+    use randrecon_data::{DataTable, Schema};
+    use randrecon_linalg::parallel::max_threads;
 
     #[test]
     fn rowsweep_covariance_is_bit_identical_to_the_blocked_kernel() {
@@ -122,6 +231,209 @@ mod tests {
         let seed = covariance_matrix_rowsweep_seed(ds.table.values());
         let blocked = ds.table.covariance_matrix();
         assert!(seed.approx_eq(&blocked, 0.0));
+    }
+
+    /// Attributes of the codec pin tests.
+    const M: usize = 5;
+
+    /// Records per wave of the banded codec at this process's pool width.
+    fn wave_rows() -> usize {
+        max_threads() * BAND_ROWS
+    }
+
+    /// The read chunk sizes the codec is pinned at: one record, either side
+    /// of a band, and the streaming engine's default.
+    fn chunk_sizes() -> [usize; 5] {
+        [1, 7, BAND_ROWS - 1, BAND_ROWS + 1, 8192]
+    }
+
+    /// Records `first..first + rows` of a deterministic table whose values
+    /// mix hard cases for the shortest round-trip formatter (signed zeros,
+    /// subnormals, the extremes, 0.1 + 0.2) with values across 17 decades.
+    fn adversarial_chunk(first: usize, rows: usize) -> Matrix {
+        let hard = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            -f64::MAX,
+            1e-7,
+            1e16,
+            0.1 + 0.2,
+        ];
+        Matrix::from_fn(rows, M, |i, j| {
+            let k = (first + i) * M + j;
+            if k.is_multiple_of(3) {
+                hard[(k / 3) % hard.len()]
+            } else {
+                (k as f64 * 0.618_033_988_749_895).sin() * 10f64.powi((k % 17) as i32 - 8)
+            }
+        })
+    }
+
+    #[test]
+    fn csv_codec_writes_the_seed_bytes() {
+        let schema = Schema::anonymous(M).unwrap();
+        let mut writer = CsvChunkWriter::new(Vec::new(), &schema).unwrap();
+        let mut expected = b"a0,a1,a2,a3,a4\n".to_vec();
+        // One record, either side of a band and a band, then several waves
+        // and a tail.
+        let mut records = 0;
+        for rows in [
+            1,
+            BAND_ROWS - 1,
+            BAND_ROWS,
+            BAND_ROWS + 1,
+            3 * wave_rows() + 17,
+        ] {
+            let chunk = adversarial_chunk(records, rows);
+            writer.write_chunk(&chunk).unwrap();
+            csv_write_chunk_seed(&chunk, &mut expected).unwrap();
+            records += rows;
+        }
+        assert_eq!(writer.rows_written(), records);
+        assert!(
+            writer.finish().unwrap() == expected,
+            "the banded writer's bytes differ from the seed's"
+        );
+        let table = DataTable::from_matrix(adversarial_chunk(0, records)).unwrap();
+        assert!(
+            to_csv_string(&table).as_bytes() == expected,
+            "to_csv_string's bytes differ from the seed's"
+        );
+    }
+
+    /// A CSV text of `n` records exercising the reader's edge cases: blank
+    /// and whitespace-only lines (one holding only U+00A0), CRLF line
+    /// endings, padded and quoted fields, and no final newline.
+    fn awkward_csv(n: usize) -> String {
+        let mut text = String::from("a0,a1,\"a2\",a3,a4\r\n");
+        for (i, row) in adversarial_chunk(0, n).row_iter().enumerate() {
+            let cells: Vec<String> = row
+                .iter()
+                .enumerate()
+                .map(|(j, v)| match (i + j) % 7 {
+                    0 => format!("  {v} "),
+                    1 => format!("\"{v}\""),
+                    2 => format!("\t{v}"),
+                    _ => format!("{v}"),
+                })
+                .collect();
+            text.push_str(&cells.join(","));
+            text.push_str(if i.is_multiple_of(5) { "\r\n" } else { "\n" });
+            match i % 97 {
+                3 => text.push('\n'),
+                11 => text.push_str("   \r\n"),
+                29 => text.push_str("\u{a0}\n"),
+                50 => text.push_str("\t \n\n"),
+                _ => {}
+            }
+        }
+        text.truncate(text.trim_end_matches(['\r', '\n']).len());
+        text
+    }
+
+    fn bits(values: &Matrix) -> Vec<u64> {
+        values.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every chunk's bits up to the end of the input or its first error,
+    /// and that error's message.
+    type Drained = (Vec<Vec<u64>>, Option<String>);
+
+    /// Reads chunks from `next` until the end of the input or an error.
+    fn drain(mut next: impl FnMut() -> Result<Option<Matrix>>) -> Drained {
+        let mut chunks = Vec::new();
+        loop {
+            match next() {
+                Ok(Some(chunk)) => chunks.push(bits(&chunk)),
+                Ok(None) => return (chunks, None),
+                Err(e) => return (chunks, Some(e.to_string())),
+            }
+        }
+    }
+
+    /// Reads `text` at `chunk_rows` through `CsvChunkReader` and through the
+    /// seed loop; both must give the same chunks, bits and error.
+    fn assert_reads_like_the_seed(name: &str, text: &str, chunk_rows: usize) -> Drained {
+        let path =
+            std::env::temp_dir().join(format!("randrecon_bench_{name}_{}.csv", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        let mut reader = CsvChunkReader::open(&path, chunk_rows).unwrap();
+        let codec = drain(|| reader.next_chunk());
+        std::fs::remove_file(&path).ok();
+
+        let mut lines = text.as_bytes().lines();
+        let header = lines.next().unwrap().unwrap();
+        let m = split_csv_fields(&header).unwrap().len();
+        let mut line_no = 1;
+        let seed = drain(|| csv_read_chunk_seed(&mut lines, &mut line_no, m, chunk_rows));
+        assert!(
+            codec == seed,
+            "chunk_rows {chunk_rows}: the codec read {} chunk(s) then {:?}, the seed {} then {:?}",
+            codec.0.len(),
+            codec.1,
+            seed.0.len(),
+            seed.1
+        );
+        codec
+    }
+
+    #[test]
+    fn csv_codec_parses_the_seed_bits() {
+        let n = 2 * wave_rows() + BAND_ROWS / 2 + 3;
+        let text = awkward_csv(n);
+        for chunk_rows in chunk_sizes() {
+            let (chunks, error) = assert_reads_like_the_seed("bits", &text, chunk_rows);
+            assert_eq!(error, None);
+            assert_eq!(chunks.len(), n.div_ceil(chunk_rows));
+        }
+        let whole = from_csv_string(&text).unwrap();
+        let mut lines = text.as_bytes().lines();
+        lines.next();
+        let seed = csv_read_chunk_seed(&mut lines, &mut 1, M, usize::MAX)
+            .unwrap()
+            .unwrap();
+        assert!(
+            bits(whole.values()) == bits(&seed),
+            "read_csv's bits differ from the seed's"
+        );
+    }
+
+    #[test]
+    fn csv_codec_reports_the_seed_errors() {
+        let text = awkward_csv(wave_rows() + BAND_ROWS + 5);
+        let lines: Vec<&str> = text.split('\n').collect();
+        // The index in `lines` of record `k`, blank lines skipped.
+        let record = |k: usize| {
+            let mut records = (1..lines.len()).filter(|&i| !lines[i].trim().is_empty());
+            records.nth(k).unwrap()
+        };
+        let bad_lines = [
+            "1,2,3,4",
+            "1,2,x,4,5",
+            "1,2,3,4,-inf",
+            "NaN,2,3",
+            "\"1\",2,3,4,5,6",
+            "\"1,5\",2,3,4,5",
+            "1,2,3,4,\"5",
+        ];
+        // In 8192-row chunks: the first line of the second band, and the
+        // last line of the first wave.
+        for at in [record(BAND_ROWS), record(wave_rows() - 1)] {
+            for bad in bad_lines {
+                let mut edited = lines.clone();
+                edited[at] = bad;
+                let edited = edited.join("\n");
+                for chunk_rows in chunk_sizes() {
+                    let (_, error) = assert_reads_like_the_seed("errors", &edited, chunk_rows);
+                    assert!(error.is_some(), "{bad} at line {}", at + 1);
+                }
+            }
+        }
     }
 
     #[test]

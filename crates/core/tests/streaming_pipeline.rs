@@ -15,7 +15,11 @@
 //! sequentially, and a disguised synthetic stream, whose chunks the driver
 //! generates on the pool through the source's random-access view. The
 //! synthetic stream is also run behind a wrapper that hides the view, and
-//! both paths must give the same bytes at every slot and worker count.
+//! both paths must give the same bytes at every slot and worker count. The
+//! table also takes a CSV → CSV leg: written with `CsvChunkWriter`, read
+//! back with `CsvChunkReader`, and reconstructed into a `CsvChunkWriter`
+//! whose bytes enter the hash, so the banded CSV codec is pinned across
+//! the same matrix.
 //!
 //! The failure-path tests pin that an error from the sink mid-pipeline
 //! shuts the producer down and surfaces the located error instead of
@@ -28,6 +32,7 @@ use randrecon_core::streaming::{
 };
 use randrecon_core::{ReconError, Result};
 use randrecon_data::chunks::{RecordChunkSource, SyntheticChunkSource, TableChunkSource};
+use randrecon_data::csv::{from_csv_string, CsvChunkReader, CsvChunkWriter};
 use randrecon_data::synthetic::{EigenSpectrum, SyntheticDataset};
 use randrecon_data::DataTable;
 use randrecon_linalg::Matrix;
@@ -122,12 +127,35 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+/// Writes `table` as a CSV release with `CsvChunkWriter`, `CHUNK` records
+/// at a time, to a file of its own (concurrent tests each write one).
+fn write_release(table: &DataTable) -> std::path::PathBuf {
+    static RELEASES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let release = RELEASES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!(
+        "randrecon_pipeline_release_{}_{release}.csv",
+        std::process::id()
+    ));
+    let mut writer = CsvChunkWriter::create(&path, table.schema()).unwrap();
+    for first in (0..table.n_records()).step_by(CHUNK) {
+        let last = (first + CHUNK).min(table.n_records());
+        writer
+            .write_chunk(&table.values().submatrix(first, last, 0, M).unwrap())
+            .unwrap();
+    }
+    writer.finish().unwrap();
+    path
+}
+
 /// Reconstructs both fixed workloads with every streaming attack through a
 /// ring of the given depth and folds every output bit into one hash. The
-/// synthetic stream runs on both read paths, which must agree bit for bit.
+/// synthetic stream runs on both read paths, which must agree bit for bit,
+/// and the table runs CSV → CSV as well, which must reproduce the table
+/// path's values and adds its output bytes to the hash.
 fn pipeline_hash(slots: usize) -> u64 {
     let (disguised, randomizer) = disguised_workload();
     let noise = randomizer.model();
+    let release = write_release(&disguised);
     let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
     for attack in attacks() {
         let mut source = TableChunkSource::new(&disguised, CHUNK).unwrap();
@@ -136,6 +164,20 @@ fn pipeline_hash(slots: usize) -> u64 {
         for &v in matrix.as_slice() {
             fnv64(&mut hash, v.to_bits().to_le_bytes());
         }
+
+        let mut source = CsvChunkReader::open(&release, CHUNK).unwrap();
+        let mut sink = CsvChunkWriter::new(Vec::new(), disguised.schema()).unwrap();
+        StreamingDriver { slots }
+            .run(attack.as_ref(), &mut source, noise, &mut sink)
+            .unwrap();
+        let written = sink.finish().unwrap();
+        let read_back = from_csv_string(std::str::from_utf8(&written).unwrap()).unwrap();
+        assert!(
+            bits(read_back.values().as_slice()) == bits(matrix.as_slice()),
+            "{} at {slots} slot(s): the CSV leg's values differ from the table path's",
+            attack.name()
+        );
+        fnv64(&mut hash, written);
 
         let mut random_access = synthetic_stream();
         assert!(random_access.random_access().is_some());
@@ -154,6 +196,7 @@ fn pipeline_hash(slots: usize) -> u64 {
             fnv64(&mut hash, v.to_bits().to_le_bytes());
         }
     }
+    std::fs::remove_file(&release).ok();
     hash
 }
 

@@ -2,41 +2,81 @@
 //!
 //! The examples persist generated and reconstructed data sets so they can be
 //! inspected with external tooling; a hand-rolled writer/reader keeps the
-//! workspace free of extra dependencies. The writer emits the plain subset
-//! (no quoting — it only ever writes numbers), while the reader understands
-//! RFC-4180 quoting: fields wrapped in double quotes may contain commas,
-//! doubled quotes, and line breaks. [`split_csv_fields`] and
-//! [`parse_csv_text`] expose that field-level layer for non-numeric CSV
-//! (the experiment report files), so every CSV consumer in the workspace
-//! shares one grammar.
+//! workspace free of extra dependencies. The writer emits numbers in their
+//! `Display` form and quotes a header name only when it holds a comma, a
+//! double quote, CR or LF, while the reader understands RFC-4180 quoting:
+//! fields wrapped in double quotes may contain commas, doubled quotes, and
+//! line breaks (a quoted header name may span physical lines; a numeric
+//! record is one line). [`split_csv_fields`] and [`parse_csv_text`] expose
+//! that field-level layer for non-numeric CSV (the experiment report
+//! files), so every CSV consumer in the workspace shares one grammar.
 //!
-//! Two access granularities share one parser:
+//! Two access granularities share one codec:
 //!
-//! * [`read_csv`] / [`from_csv_string`] build the whole [`DataTable`] — fine
-//!   for the paper-scale experiments.
+//! * [`read_csv`] / [`from_csv_string`] build the whole [`DataTable`], and
+//!   [`to_csv_string`] / [`write_csv`] write one — fine for the paper-scale
+//!   experiments.
 //! * [`CsvChunkReader`] iterates the same format `chunk_rows` records at a
 //!   time and implements [`RecordChunkSource`], so the streaming attack
 //!   engine can sweep a file twice with bounded memory. [`CsvChunkWriter`]
 //!   is the matching buffered sink: header once, then appended chunks.
+//!
+//! # The codec: bands on the pool
+//!
+//! Records are parsed and formatted in **bands** of [`BAND_ROWS`] records on
+//! the shared `randrecon-parallel` pool, one wave of `max_threads()` bands
+//! at a time:
+//!
+//! * **Reading.** A line collector appends a wave's non-blank lines to one
+//!   recycled byte buffer with `read_until`, recording each line's span and
+//!   physical line number; the bands then parse straight into the rows of
+//!   the output buffer. A line is blank when `str::trim` leaves nothing, a
+//!   trailing `\n` or `\r\n` is stripped as `BufRead::lines` strips it, and
+//!   a line that is not UTF-8 fails with the error `BufRead::lines` gives.
+//! * **Writing.** Each band formats its records with `write!` into a
+//!   recycled text buffer that it owns for the call — moved out of the
+//!   writer's list and put back afterwards, because formatting through a
+//!   shared list would write its neighbours' cache line on every push — and
+//!   the buffers are written out in band order.
+//!
+//! Neither side allocates per line or per value, and neither holds more
+//! than one wave of text: never a whole chunk. Values are parsed with
+//! `str::parse::<f64>` and formatted with `Display`, and bands never
+//! reorder anything, so output bytes, parsed bits and errors are the same
+//! at every pool width. Errors keep one precedence: on one line a wrong
+//! field count wins over a bad value, and across bands the first bad line
+//! in file order is the one reported.
 
 use crate::chunks::RecordChunkSource;
 use crate::error::{DataError, Result};
 use crate::schema::{Attribute, Schema};
 use crate::table::DataTable;
+use randrecon_linalg::parallel::{max_threads, parallel_chunks_mut, parallel_row_chunks_mut};
 use randrecon_linalg::Matrix;
-use std::io::{BufRead, BufReader, BufWriter, Lines, Read, Write};
+use std::fmt::Write as _;
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
-/// Serializes a table to CSV text (header + one line per record).
+/// Records per band: the unit of parsing and formatting work handed to one
+/// pool thread. A wave is `max_threads()` bands.
+pub const BAND_ROWS: usize = 256;
+
+/// Serializes a table to CSV text (header + one line per record). Unlike
+/// [`CsvChunkWriter`], it writes a non-finite value as `Display` shows it.
 pub fn to_csv_string(table: &DataTable) -> String {
     let mut out = String::new();
-    out.push_str(&table.schema().names().join(","));
-    out.push('\n');
-    for record in table.records() {
-        let row: Vec<String> = record.iter().map(|v| format!("{v}")).collect();
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
+    push_header(&mut out, table.schema());
+    format_records(
+        table.values().as_slice(),
+        table.n_attributes(),
+        &mut Vec::new(),
+        |text| {
+            out.push_str(text);
+            Ok(())
+        },
+    )
+    .expect("appending to a String cannot fail");
     out
 }
 
@@ -53,6 +93,68 @@ pub fn write_csv_file<P: AsRef<Path>>(table: &DataTable, path: P) -> Result<()> 
         source,
     })?;
     write_csv(table, &mut file)
+}
+
+/// Appends the header line: the schema's names, comma-separated. A name
+/// holding a comma, a double quote, CR or LF is quoted RFC-4180 style, its
+/// quotes doubled, so the readers give it back whole.
+fn push_header(out: &mut String, schema: &Schema) {
+    for (j, name) in schema.names().into_iter().enumerate() {
+        if j > 0 {
+            out.push(',');
+        }
+        if name.contains([',', '"', '\r', '\n']) {
+            out.push('"');
+            out.push_str(&name.replace('"', "\"\""));
+            out.push('"');
+        } else {
+            out.push_str(name);
+        }
+    }
+    out.push('\n');
+}
+
+/// Appends one record as a CSV line: its values in `Display` form,
+/// comma-separated.
+fn push_record(out: &mut String, record: &[f64]) {
+    for (j, v) in record.iter().enumerate() {
+        if j > 0 {
+            out.push(',');
+        }
+        write!(out, "{v}").expect("formatting into a String cannot fail");
+    }
+    out.push('\n');
+}
+
+/// Formats `values`, whole records of `m` values each, one wave of bands at
+/// a time: each band on the pool into a buffer of `bands` (resized to the
+/// pool width and kept for the next call), then every band's text to
+/// `emit` in record order.
+fn format_records(
+    values: &[f64],
+    m: usize,
+    bands: &mut Vec<String>,
+    mut emit: impl FnMut(&str) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let band_values = BAND_ROWS * m;
+    bands.resize_with(max_threads(), String::new);
+    for wave in values.chunks(bands.len() * band_values) {
+        let n_bands = wave.len().div_ceil(band_values);
+        parallel_chunks_mut(&mut bands[..n_bands], 1, n_bands, |band, slot| {
+            // Format into a buffer this band owns for the call, not through
+            // `slot`: every push would write the shared list's cache line.
+            let mut text = std::mem::take(&mut slot[0]);
+            text.clear();
+            for record in wave[band * band_values..].chunks(m).take(BAND_ROWS) {
+                push_record(&mut text, record);
+            }
+            slot[0] = text;
+        });
+        for text in &bands[..n_bands] {
+            emit(text)?;
+        }
+    }
+    Ok(())
 }
 
 /// Splits one CSV record into its fields, RFC-4180 style: a field wrapped
@@ -153,7 +255,7 @@ pub fn parse_csv_text(text: &str) -> Result<Vec<Vec<String>>> {
     Ok(records)
 }
 
-/// Parses a header line into a schema (every attribute marked sensitive).
+/// Parses a header record into a schema (every attribute marked sensitive).
 fn parse_header(header: &str) -> Result<Schema> {
     let names: Vec<String> = if header.contains('"') {
         split_csv_fields(header).map_err(|reason| DataError::Parse { line: 1, reason })?
@@ -169,57 +271,232 @@ fn parse_header(header: &str) -> Result<Schema> {
     Schema::new(names.iter().map(Attribute::sensitive).collect())
 }
 
-/// Parses one record line into `m` numbers, appending them to `out`.
-/// `line_no` is the 1-based physical line for error reporting; malformed
-/// values are located by their 1-based column too. Rust's `f64` parser
-/// accepts `NaN` and `inf`; such cells are rejected here, at the source
-/// boundary, rather than flowing silently into the moments. On any error
-/// the partial row is rolled back, so `out` always holds whole rows.
-fn parse_record(line: &str, m: usize, line_no: usize, out: &mut Vec<f64>) -> Result<()> {
-    let start = out.len();
-    let push = |col: usize, f: &str, out: &mut Vec<f64>| -> Result<()> {
-        let problem = match f.parse::<f64>() {
-            Ok(v) if v.is_finite() => {
-                out.push(v);
-                return Ok(());
+/// Parses one record line into `out`, one value per attribute. `line_no` is
+/// the 1-based physical line for error reporting; a malformed value is
+/// located by its 1-based column too. Rust's `f64` parser accepts `NaN` and
+/// `inf`; such cells are rejected here, at the source boundary, rather than
+/// flowing silently into the moments.
+fn parse_record(line: &str, line_no: usize, out: &mut [f64]) -> Result<()> {
+    let mut result = parse_fields(line.split(','), out);
+    if result.is_err() && line.contains('"') {
+        // A quoted (RFC-4180) field may hold a comma: split field-aware. A
+        // quote can never parse as a number, so an unquoted split of such a
+        // line always fails and lands here.
+        result = split_csv_fields(line)
+            .and_then(|fields| parse_fields(fields.iter().map(String::as_str), out));
+    }
+    result.map_err(|reason| DataError::Parse {
+        line: line_no,
+        reason,
+    })
+}
+
+/// Parses `fields` (trimmed) into `out`, or gives the reason they do not
+/// fit: a wrong field count wins over a bad value, and the first bad value
+/// wins over later ones.
+fn parse_fields<'a>(
+    fields: impl Iterator<Item = &'a str>,
+    out: &mut [f64],
+) -> std::result::Result<(), String> {
+    let mut count = 0;
+    let mut bad = None;
+    for field in fields {
+        if let (None, Some(slot)) = (&bad, out.get_mut(count)) {
+            match field.trim().parse::<f64>() {
+                Ok(v) if v.is_finite() => *slot = v,
+                Ok(_) => bad = Some((count, field, "is not a finite number")),
+                Err(_) => bad = Some((count, field, "is not a number")),
             }
-            Ok(_) => "is not a finite number",
-            Err(_) => "is not a number",
-        };
-        out.truncate(start);
-        Err(DataError::Parse {
-            line: line_no,
-            reason: format!("column {}: '{f}' {problem}", col + 1),
-        })
-    };
-    if line.contains('"') {
-        // Quoted (RFC-4180) row: split field-aware, then parse each field.
-        let fields = split_csv_fields(line).map_err(|reason| DataError::Parse {
-            line: line_no,
-            reason,
-        })?;
-        if fields.len() != m {
+        }
+        count += 1;
+    }
+    if count != out.len() {
+        return Err(format!("expected {} fields, found {count}", out.len()));
+    }
+    match bad {
+        Some((col, field, problem)) => {
+            Err(format!("column {}: '{}' {problem}", col + 1, field.trim()))
+        }
+        None => Ok(()),
+    }
+}
+
+/// The error `BufRead::lines` gives for a line that is not UTF-8.
+fn decode(line: &[u8]) -> Result<&str> {
+    std::str::from_utf8(line).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        )
+        .into()
+    })
+}
+
+/// Whether a record line is blank, i.e. `str::trim` leaves nothing.
+fn is_blank(line: &[u8]) -> Result<bool> {
+    match line.first() {
+        // Nearly every record starts with a digit or a sign: no need to
+        // decode the whole line to see that it is not blank.
+        Some(&b) if b.is_ascii() && !(b as char).is_whitespace() => Ok(false),
+        _ => Ok(decode(line)?.trim().is_empty()),
+    }
+}
+
+/// Removes a trailing `\n` or `\r\n`, as `BufRead::lines` does.
+fn line_end(text: &[u8], start: usize) -> usize {
+    let mut end = text.len();
+    if end > start && text[end - 1] == b'\n' {
+        end -= 1;
+        if end > start && text[end - 1] == b'\r' {
+            end -= 1;
+        }
+    }
+    end
+}
+
+/// Where one collected record line sits in the wave's text buffer.
+#[derive(Clone, Copy)]
+struct LineSpan {
+    start: usize,
+    end: usize,
+    /// 1-based physical line number.
+    line: usize,
+}
+
+/// The record lines of a CSV input after its header: collected a wave at a
+/// time into one recycled text buffer, then parsed in bands on the pool.
+struct RecordLines<R> {
+    input: R,
+    /// 1-based physical line number of the last line consumed (the header
+    /// ends at line 1 unless a quoted name spans lines).
+    line_no: usize,
+    text: Vec<u8>,
+    spans: Vec<LineSpan>,
+}
+
+impl<R> std::fmt::Debug for RecordLines<R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RecordLines")
+            .field("line_no", &self.line_no)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<R: BufRead> RecordLines<R> {
+    /// Reads the header record, which a quoted name may carry over several
+    /// physical lines, and parses it into a schema.
+    fn open(mut input: R) -> Result<(Schema, Self)> {
+        let mut text = Vec::new();
+        let mut line_no = 0;
+        let mut quoted = false;
+        loop {
+            let start = text.len();
+            if input.read_until(b'\n', &mut text)? == 0 {
+                break;
+            }
+            line_no += 1;
+            let quotes = text[start..].iter().filter(|&&b| b == b'"').count();
+            quoted ^= quotes % 2 == 1;
+            if !quoted {
+                break;
+            }
+        }
+        if line_no == 0 {
             return Err(DataError::Parse {
-                line: line_no,
-                reason: format!("expected {m} fields, found {}", fields.len()),
+                line: 1,
+                reason: "empty input (missing header row)".to_string(),
             });
         }
-        for (col, f) in fields.iter().enumerate() {
-            push(col, f.trim(), out)?;
+        let end = line_end(&text, 0);
+        let schema = parse_header(decode(&text[..end])?)?;
+        text.clear();
+        let lines = RecordLines {
+            input,
+            line_no,
+            text,
+            spans: Vec::new(),
+        };
+        Ok((schema, lines))
+    }
+
+    /// Reads up to `max_rows` records of `m` values, appending them to
+    /// `data`, and returns how many it read: fewer only at the end of the
+    /// input. The first error in file order stops it.
+    fn read_records(&mut self, m: usize, max_rows: usize, data: &mut Vec<f64>) -> Result<usize> {
+        let wave = max_threads() * BAND_ROWS;
+        let mut rows = 0;
+        while rows < max_rows {
+            let want = wave.min(max_rows - rows);
+            let stopped = self.collect(want);
+            let n = self.spans.len();
+            let base = data.len();
+            data.resize(base + n * m, 0.0);
+            self.parse(m, &mut data[base..])?;
+            rows += n;
+            match stopped {
+                Some(error) => return Err(error),
+                None if n < want => break,
+                None => {}
+            }
         }
-        return Ok(());
+        Ok(rows)
     }
-    let fields = line.split(',').count();
-    if fields != m {
-        return Err(DataError::Parse {
-            line: line_no,
-            reason: format!("expected {m} fields, found {fields}"),
+
+    /// Collects up to `max` non-blank lines, skipping blank ones. A read or
+    /// decoding error stops it and is returned: it belongs after every line
+    /// collected, so their own errors go first.
+    fn collect(&mut self, max: usize) -> Option<DataError> {
+        self.text.clear();
+        self.spans.clear();
+        while self.spans.len() < max {
+            let start = self.text.len();
+            match self.input.read_until(b'\n', &mut self.text) {
+                Ok(0) => break,
+                Ok(_) => self.line_no += 1,
+                Err(e) => return Some(e.into()),
+            }
+            let end = line_end(&self.text, start);
+            match is_blank(&self.text[start..end]) {
+                Ok(true) => self.text.truncate(start),
+                Ok(false) => self.spans.push(LineSpan {
+                    start,
+                    end,
+                    line: self.line_no,
+                }),
+                Err(e) => return Some(e),
+            }
+        }
+        None
+    }
+
+    /// Parses the collected lines into `out`, `m` values per line, in bands
+    /// on the pool. The first bad line in file order is reported, whichever
+    /// band finds it.
+    fn parse(&self, m: usize, out: &mut [f64]) -> Result<()> {
+        let (text, spans) = (&self.text, &self.spans);
+        let first_error: Mutex<Option<(usize, DataError)>> = Mutex::new(None);
+        let bands = spans.len().div_ceil(BAND_ROWS);
+        parallel_row_chunks_mut(out, m, BAND_ROWS, bands, |first, rows| {
+            for (i, row) in rows.chunks_exact_mut(m).enumerate() {
+                let span = spans[first + i];
+                let parsed = decode(&text[span.start..span.end])
+                    .and_then(|line| parse_record(line, span.line, row));
+                if let Err(error) = parsed {
+                    // Only this update touches the slot, and it leaves it
+                    // whole, so a poisoned lock still holds valid data.
+                    let mut slot = first_error.lock().unwrap_or_else(|e| e.into_inner());
+                    if slot.as_ref().is_none_or(|(at, _)| first + i < *at) {
+                        *slot = Some((first + i, error));
+                    }
+                    return;
+                }
+            }
         });
+        match first_error.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            Some((_, error)) => Err(error),
+            None => Ok(()),
+        }
     }
-    for (col, f) in line.split(',').enumerate() {
-        push(col, f.trim(), out)?;
-    }
-    Ok(())
 }
 
 /// Parses a table from CSV text.
@@ -229,31 +506,10 @@ pub fn from_csv_string(text: &str) -> Result<DataTable> {
 
 /// Reads a table from any reader producing CSV.
 pub fn read_csv<R: Read>(reader: &mut R) -> Result<DataTable> {
-    let buf = BufReader::new(reader);
-    let mut lines = buf.lines();
-    let header = match lines.next() {
-        Some(h) => h?,
-        None => {
-            return Err(DataError::Parse {
-                line: 1,
-                reason: "empty input (missing header row)".to_string(),
-            })
-        }
-    };
-    let schema = parse_header(&header)?;
+    let (schema, mut lines) = RecordLines::open(BufReader::new(reader))?;
     let m = schema.len();
-
-    let mut data: Vec<f64> = Vec::new();
-    let mut n = 0usize;
-    for (idx, line) in lines.enumerate() {
-        let line = line?;
-        let line_no = idx + 2;
-        if line.trim().is_empty() {
-            continue;
-        }
-        parse_record(&line, m, line_no, &mut data)?;
-        n += 1;
-    }
+    let mut data = Vec::new();
+    let n = lines.read_records(m, usize::MAX, &mut data)?;
     if n == 0 {
         return Err(DataError::Parse {
             line: 2,
@@ -274,21 +530,21 @@ pub fn read_csv_file<P: AsRef<Path>>(path: P) -> Result<DataTable> {
 }
 
 /// Chunked CSV reader: iterates a CSV file `chunk_rows` records at a time
-/// through the same parser as [`read_csv`].
+/// through the same codec as [`read_csv`].
 ///
 /// Implements [`RecordChunkSource`]; [`reset`](RecordChunkSource::reset)
 /// reopens the file, so the two-pass streaming engine can sweep it twice.
 /// Unlike [`read_csv`], a file with a header and zero data rows is not an
 /// error here — the stream is simply empty (the attack engines reject
-/// sources with fewer than two records themselves).
+/// sources with fewer than two records themselves). After an error the
+/// read position is past the bad line by up to a wave; `reset` to sweep
+/// again.
 #[derive(Debug)]
 pub struct CsvChunkReader {
     path: PathBuf,
     chunk_rows: usize,
     schema: Schema,
-    lines: Lines<BufReader<std::fs::File>>,
-    /// 1-based physical line number of the last line consumed (header = 1).
-    line_no: usize,
+    lines: RecordLines<BufReader<std::fs::File>>,
 }
 
 impl CsvChunkReader {
@@ -306,26 +562,15 @@ impl CsvChunkReader {
             chunk_rows,
             schema,
             lines,
-            line_no: 1,
         })
     }
 
-    fn open_file(path: &Path) -> Result<(Schema, Lines<BufReader<std::fs::File>>)> {
+    fn open_file(path: &Path) -> Result<(Schema, RecordLines<BufReader<std::fs::File>>)> {
         let file = std::fs::File::open(path).map_err(|source| DataError::IoAt {
             path: path.to_path_buf(),
             source,
         })?;
-        let mut lines = BufReader::new(file).lines();
-        let header = match lines.next() {
-            Some(h) => h?,
-            None => {
-                return Err(DataError::Parse {
-                    line: 1,
-                    reason: "empty input (missing header row)".to_string(),
-                })
-            }
-        };
-        Ok((parse_header(&header)?, lines))
+        RecordLines::open(BufReader::new(file))
     }
 
     /// The schema parsed from the header row.
@@ -354,26 +599,13 @@ impl RecordChunkSource for CsvChunkReader {
             });
         }
         self.lines = lines;
-        self.line_no = 1;
         Ok(())
     }
 
     fn next_chunk(&mut self) -> Result<Option<Matrix>> {
         let m = self.schema.len();
-        let mut data: Vec<f64> = Vec::with_capacity(self.chunk_rows * m);
-        let mut rows = 0usize;
-        while rows < self.chunk_rows {
-            let line = match self.lines.next() {
-                Some(l) => l?,
-                None => break,
-            };
-            self.line_no += 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            parse_record(&line, m, self.line_no, &mut data)?;
-            rows += 1;
-        }
+        let mut data = Vec::with_capacity(self.chunk_rows * m);
+        let rows = self.lines.read_records(m, self.chunk_rows, &mut data)?;
         if rows == 0 {
             return Ok(None);
         }
@@ -388,6 +620,8 @@ pub struct CsvChunkWriter<W: Write> {
     writer: W,
     n_attributes: usize,
     rows_written: usize,
+    /// Recycled text buffers, one per band of a wave.
+    bands: Vec<String>,
 }
 
 impl CsvChunkWriter<BufWriter<std::fs::File>> {
@@ -405,38 +639,42 @@ impl<W: Write> CsvChunkWriter<W> {
     /// Wraps any writer (callers supply their own buffering) and writes the
     /// header row immediately.
     pub fn new(mut writer: W, schema: &Schema) -> Result<Self> {
-        writer.write_all(schema.names().join(",").as_bytes())?;
-        writer.write_all(b"\n")?;
+        let mut header = String::new();
+        push_header(&mut header, schema);
+        writer.write_all(header.as_bytes())?;
         Ok(CsvChunkWriter {
             writer,
             n_attributes: schema.len(),
             rows_written: 0,
+            bands: Vec::new(),
         })
     }
 
     /// Appends one chunk of records (columns must match the schema width).
+    /// A `NaN` or infinite value, which the readers would refuse, fails the
+    /// chunk with [`DataError::NonFinite`] before any of it is written.
     pub fn write_chunk(&mut self, chunk: &Matrix) -> Result<()> {
-        if chunk.cols() != self.n_attributes {
+        let m = self.n_attributes;
+        if chunk.cols() != m {
             return Err(DataError::SchemaMismatch {
                 reason: format!(
-                    "chunk has {} columns but the header has {} attributes",
+                    "chunk has {} columns but the header has {m} attributes",
                     chunk.cols(),
-                    self.n_attributes
                 ),
             });
         }
-        let mut line = String::new();
-        for row in chunk.row_iter() {
-            line.clear();
-            for (j, v) in row.iter().enumerate() {
-                if j > 0 {
-                    line.push(',');
-                }
-                line.push_str(&format!("{v}"));
-            }
-            line.push('\n');
-            self.writer.write_all(line.as_bytes())?;
+        let values = chunk.as_slice();
+        if let Some(at) = values.iter().position(|v| !v.is_finite()) {
+            return Err(DataError::NonFinite {
+                record: self.rows_written + at / m + 1,
+                column: at % m + 1,
+                value: values[at],
+            });
         }
+        let writer = &mut self.writer;
+        format_records(values, m, &mut self.bands, |text| {
+            writer.write_all(text.as_bytes())
+        })?;
         self.rows_written += chunk.rows();
         Ok(())
     }
@@ -774,6 +1012,191 @@ mod tests {
 
         let parsed = read_csv_file(&path).unwrap();
         assert!(parsed.approx_eq(&t, 1e-12));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn chunk_writer_refuses_non_finite_values_before_writing_the_chunk() {
+        let schema = Schema::anonymous(3).unwrap();
+        let mut writer = CsvChunkWriter::new(Vec::new(), &schema).unwrap();
+        writer
+            .write_chunk(&Matrix::from_fn(2, 3, |i, j| (i + j) as f64))
+            .unwrap();
+        for (value, shown) in [
+            (f64::NAN, "NaN"),
+            (f64::INFINITY, "inf"),
+            (f64::NEG_INFINITY, "-inf"),
+        ] {
+            let mut chunk = Matrix::from_fn(4, 3, |i, j| (i * j) as f64);
+            chunk.set(2, 1, value);
+            // Row 3 of the second chunk is record 5; counted across chunks.
+            match writer.write_chunk(&chunk) {
+                Err(
+                    e @ DataError::NonFinite {
+                        record: 5,
+                        column: 2,
+                        ..
+                    },
+                ) => assert_eq!(
+                    e.to_string(),
+                    format!(
+                        "CSV write error at record 5: column 2: '{shown}' is not a finite number"
+                    )
+                ),
+                other => panic!("expected a located non-finite error, got {other:?}"),
+            }
+        }
+        assert_eq!(writer.rows_written(), 2);
+        let text = String::from_utf8(writer.finish().unwrap()).unwrap();
+        assert_eq!(text, "a0,a1,a2\n0,1,2\n1,2,3\n");
+    }
+
+    #[test]
+    fn quoted_header_names_round_trip_through_both_writers_and_readers() {
+        let names = ["a,b", "say \"hi\"", ",", "two\nlines", "cr\rname", "plain"];
+        let schema = Schema::new(names.into_iter().map(Attribute::sensitive).collect()).unwrap();
+        let values = Matrix::from_fn(3, names.len(), |i, j| (i * 7 + j) as f64 - 0.5);
+        let table = DataTable::new(schema.clone(), values.clone()).unwrap();
+        let header = "\"a,b\",\"say \"\"hi\"\"\",\",\",\"two\nlines\",\"cr\rname\",plain\n";
+
+        let text = to_csv_string(&table);
+        assert!(text.starts_with(header), "{text:?}");
+        let mut writer = CsvChunkWriter::new(Vec::new(), &schema).unwrap();
+        writer.write_chunk(&values).unwrap();
+        assert_eq!(String::from_utf8(writer.finish().unwrap()).unwrap(), text);
+
+        let parsed = from_csv_string(&text).unwrap();
+        assert_eq!(parsed.schema(), &schema);
+        assert!(parsed.values().approx_eq(&values, 0.0));
+        let path = temp_path("quoted_header");
+        std::fs::write(&path, &text).unwrap();
+        let mut reader = CsvChunkReader::open(&path, 2).unwrap();
+        assert_eq!(reader.schema(), &schema);
+        let mut rows: Vec<f64> = Vec::new();
+        while let Some(chunk) = reader.next_chunk().unwrap() {
+            rows.extend_from_slice(chunk.as_slice());
+        }
+        assert_eq!(rows, values.as_slice());
+        reader.reset().unwrap();
+        assert_eq!(reader.next_chunk().unwrap().unwrap().rows(), 2);
+
+        // The header spans two physical lines, so the second record is on
+        // line 4.
+        std::fs::write(&path, format!("{header}1,2,3,4,5,6\n1,x,3,4,5,6\n")).unwrap();
+        let mut reader = CsvChunkReader::open(&path, 8).unwrap();
+        assert!(matches!(
+            reader.next_chunk(),
+            Err(DataError::Parse { line: 4, .. })
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `n` good records of three values, one line each.
+    fn good_lines(n: usize) -> Vec<String> {
+        (0..n).map(|i| format!("{i},{i}.5,-{i}")).collect()
+    }
+
+    /// The `(line, reason)` both readers report for `lines` under the
+    /// header `a,b,c`; they must agree.
+    fn first_error(name: &str, lines: &[String]) -> (usize, String) {
+        let text = format!("a,b,c\n{}\n", lines.join("\n"));
+        let whole = match from_csv_string(&text) {
+            Err(DataError::Parse { line, reason }) => (line, reason),
+            other => panic!("expected a located parse error, got {other:?}"),
+        };
+        let path = temp_path(name);
+        std::fs::write(&path, &text).unwrap();
+        let mut reader = CsvChunkReader::open(&path, 8192).unwrap();
+        let chunked = loop {
+            match reader.next_chunk() {
+                Ok(Some(_)) => {}
+                Err(DataError::Parse { line, reason }) => break (line, reason),
+                other => panic!("expected a located parse error, got {other:?}"),
+            }
+        };
+        std::fs::remove_file(&path).ok();
+        assert_eq!(whole, chunked);
+        whole
+    }
+
+    #[test]
+    fn csv_codec_locates_errors_at_band_and_wave_edges() {
+        let wave = max_threads() * BAND_ROWS;
+        let n = 2 * wave + 10;
+        let bad_lines = [
+            ("1,oops,3", "column 2: 'oops' is not a number"),
+            ("1,2", "expected 3 fields, found 2"),
+            ("1,2,inf", "column 3: 'inf' is not a finite number"),
+            // A wrong field count wins over a bad value on the same line.
+            ("oops,2", "expected 3 fields, found 2"),
+        ];
+        for (bad, reason) in bad_lines {
+            // The first line of a band and the last line of a wave; record
+            // `k` sits on physical line `k + 2`.
+            for k in [BAND_ROWS, wave - 1] {
+                let mut lines = good_lines(n);
+                lines[k] = bad.to_string();
+                assert_eq!(first_error("edge", &lines), (k + 2, reason.to_string()));
+            }
+            // Behind blank lines that straddle the first band boundary: two
+            // before the band's last record and three after it, one of them
+            // holding only U+00A0.
+            let mut lines = good_lines(n);
+            lines[BAND_ROWS] = bad.to_string();
+            lines.splice(BAND_ROWS..BAND_ROWS, ["", " ", "\u{a0}"].map(String::from));
+            lines.splice(BAND_ROWS - 1..BAND_ROWS - 1, ["\t", ""].map(String::from));
+            assert_eq!(
+                first_error("blanks", &lines),
+                (BAND_ROWS + 7, reason.to_string())
+            );
+        }
+        // Two bad lines in different bands: the earlier one wins, although
+        // the later band reaches its bad line first.
+        let mut lines = good_lines(n);
+        lines[BAND_ROWS - 1] = "1,2,NaN".to_string();
+        lines[BAND_ROWS] = "x,y,z".to_string();
+        assert_eq!(
+            first_error("two_bands", &lines),
+            (
+                BAND_ROWS + 1,
+                "column 3: 'NaN' is not a finite number".to_string()
+            )
+        );
+    }
+
+    #[test]
+    fn csv_codec_fails_a_chunk_holding_invalid_utf8() {
+        // The error `BufRead::lines` gives, which both readers keep.
+        let expected = std::io::BufRead::lines(&b"\xff\n"[..])
+            .next()
+            .unwrap()
+            .unwrap_err();
+        let utf8_error = |result: Result<Option<Matrix>>| match result {
+            Err(DataError::Io(e)) => {
+                assert_eq!(e.kind(), expected.kind());
+                assert_eq!(e.to_string(), expected.to_string());
+            }
+            other => panic!("expected an invalid-UTF-8 error, got {other:?}"),
+        };
+        let path = temp_path("invalid_utf8");
+        // On a record line, and on a line that starts like a blank one.
+        for bad in [&b"5,\xff\n"[..], &b" \xff\n"[..]] {
+            let mut bytes = b"a,b\n1,2\n3,4\n".to_vec();
+            bytes.extend_from_slice(bad);
+            bytes.extend_from_slice(b"7,8\n");
+            std::fs::write(&path, &bytes).unwrap();
+            let mut reader = CsvChunkReader::open(&path, 2).unwrap();
+            assert_eq!(reader.next_chunk().unwrap().unwrap().rows(), 2);
+            utf8_error(reader.next_chunk());
+            assert!(matches!(read_csv_file(&path), Err(DataError::Io(_))));
+        }
+        // A bad value on an earlier line of the same chunk goes first.
+        std::fs::write(&path, b"a,b\n1,x\n \xff\n").unwrap();
+        let mut reader = CsvChunkReader::open(&path, 8).unwrap();
+        assert!(matches!(
+            reader.next_chunk(),
+            Err(DataError::Parse { line: 2, .. })
+        ));
         std::fs::remove_file(&path).ok();
     }
 }

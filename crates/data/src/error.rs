@@ -38,6 +38,16 @@ pub enum DataError {
         /// What went wrong.
         reason: String,
     },
+    /// A record cannot be written as CSV: it holds a `NaN` or an infinity,
+    /// which the CSV readers refuse.
+    NonFinite {
+        /// 1-based record index, counted across every chunk written.
+        record: usize,
+        /// 1-based column.
+        column: usize,
+        /// The refused value.
+        value: f64,
+    },
     /// An I/O error from reading or writing CSV files.
     Io(std::io::Error),
     /// An I/O error located at the file path it hit — what the bare
@@ -66,6 +76,14 @@ impl fmt::Display for DataError {
             }
             DataError::InvalidWorkload { reason } => write!(f, "invalid workload: {reason}"),
             DataError::Stream { reason } => write!(f, "record stream error: {reason}"),
+            DataError::NonFinite {
+                record,
+                column,
+                value,
+            } => write!(
+                f,
+                "CSV write error at record {record}: column {column}: '{value}' is not a finite number"
+            ),
             DataError::Io(e) => write!(f, "I/O error: {e}"),
             DataError::IoAt { path, source } => {
                 write!(f, "I/O error on {}: {source}", path.display())

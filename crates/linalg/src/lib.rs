@@ -29,6 +29,9 @@
 //! * [`gram_schmidt`] — modified Gram–Schmidt orthonormalization, used to build
 //!   random orthogonal eigenvector bases exactly as the paper's experiment
 //!   methodology prescribes.
+//! * [`parallel`] — the shared `randrecon-parallel` pool, re-exported so a
+//!   crate that depends only on this one (the CSV codec in
+//!   `randrecon-data`) runs on the same workers.
 //!
 //! ## Kernel design
 //!
@@ -151,3 +154,10 @@ pub mod vector;
 
 pub use error::{LinalgError, Result};
 pub use matrix::Matrix;
+
+/// The shared workspace pool, for crates that reach it through this one.
+/// `randrecon-data` parses and formats CSV bands on it this way: depending
+/// on `randrecon-parallel` directly would add an entry to every lock file
+/// that lists `randrecon-data`'s dependencies, while this re-export adds
+/// none.
+pub use randrecon_parallel as parallel;

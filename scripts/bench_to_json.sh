@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Runs the `micro` benchmark harness and dumps every measurement to a JSON
-# file (default BENCH_10.json at the repo root) for the perf trajectory.
+# file (default BENCH_11.json at the repo root) for the perf trajectory.
 #
 # Usage: scripts/bench_to_json.sh [output.json]
 #
@@ -18,14 +18,18 @@
 # loop (`be_dr_ring4/50000` >=0.95x; depth 2 is the old double buffer)
 # plus the blocked covariance vs the per-row sweep
 # (`sample_covariance_n1000/256` vs `sample_covariance_rowsweep_n1000/256`,
-# >=1.3x).
-# BENCH_1.json … BENCH_9.json remain the frozen PR-1/…/9 records; pass
-# one of them as the argument only to regenerate history deliberately.
+# >=1.3x); and the `csv` codec ratios, the banded parser and formatter vs
+# the per-line and per-value seed loops on one 8192 x 64 chunk
+# (`csv_parse/8192` vs `csv_parse_seed/8192`, `csv_format/8192` vs
+# `csv_format_seed/8192`).
+# BENCH_1.json … BENCH_10.json are frozen records of earlier states of the
+# code; pass one of them as the argument only to regenerate history
+# deliberately.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_10.json}"
+out="${1:-BENCH_11.json}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
@@ -105,4 +109,9 @@ for m in (128, 256):
     if new and old:
         note = ", acceptance >=1.3x" if m == 256 else ""
         print(f"covariance n=1000 m={m}: per-row sweep {old/1e6:.2f} ms -> blocked panels {new/1e6:.2f} ms  ({old/new:.2f}x{note})")
+for step in ("parse", "format"):
+    new = results.get(("csv", f"csv_{step}/8192"))
+    old = results.get(("csv", f"csv_{step}_seed/8192"))
+    if new and old:
+        print(f"csv {step} 8192x64 chunk: seed loop {old/1e6:.2f} ms -> banded codec {new/1e6:.2f} ms  ({old/new:.2f}x)")
 EOF
