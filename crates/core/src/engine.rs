@@ -1,19 +1,17 @@
-//! Unified attack dispatch: any scheme through either execution engine from
-//! one call site.
+//! The attack vocabulary shared by both execution engines.
 //!
 //! The paper's evaluation is a matrix of {scheme × engine}: five
 //! reconstruction attacks, each runnable either **in memory** (materialize
 //! the disguised table, run the [`Reconstructor`]) or **streaming** (two
-//! bounded-memory passes over a [`RecordChunkSource`] through the
-//! [`StreamingDriver`](crate::streaming::StreamingDriver)). Before this
-//! module, every caller hand-rolled that dispatch twice — once per engine.
-//! [`AttackScheme`] names the five schemes, [`Attack`] carries a configured
-//! instance of one of them, and [`AttackEngine::run`] executes any attack on
-//! any engine against the same `(source, noise, sink)` signature, so a sweep
-//! over the whole matrix is a plain loop over two enums.
+//! bounded-memory passes over a record source through the
+//! [`StreamingDriver`](crate::streaming::StreamingDriver)).
+//! [`AttackScheme`] names the five schemes and [`Attack`] carries a
+//! configured instance of one of them, with one method per engine:
+//! [`Attack::reconstruct_table_with_report`] runs it in memory and
+//! [`Attack::chunk_reconstructor`] yields the streaming form.
 //!
-//! The scenario layer in `randrecon-experiments` builds its declarative
-//! `ScenarioSpec` grids directly on top of this dispatch.
+//! The scenario layer in `randrecon-experiments` calls those two methods
+//! for its in-memory and streaming cells.
 
 use crate::be_dr::BeDr;
 use crate::error::{ReconError, Result};
@@ -21,12 +19,10 @@ use crate::ndr::Ndr;
 use crate::pca_dr::PcaDr;
 use crate::spectral::SpectralFiltering;
 use crate::streaming::{
-    ChunkReconstructor, RecordSink, StreamingBeDr, StreamingDriver, StreamingNdr, StreamingPcaDr,
-    StreamingSf, StreamingUdr, TableSink,
+    ChunkReconstructor, StreamingBeDr, StreamingNdr, StreamingPcaDr, StreamingSf, StreamingUdr,
 };
 use crate::traits::Reconstructor;
 use crate::udr::{PriorEstimation, Udr};
-use randrecon_data::chunks::{materialize, RecordChunkSource};
 use randrecon_data::DataTable;
 use randrecon_noise::NoiseModel;
 use serde::{Deserialize, Serialize};
@@ -76,7 +72,7 @@ impl AttackScheme {
 /// A configured reconstruction attack, dispatchable on either engine.
 ///
 /// Wraps the per-scheme configuration structs so one value can be handed to
-/// [`AttackEngine::run`], [`Attack::reconstruct_table`] (in-memory) or
+/// [`Attack::reconstruct_table`] (in-memory) or
 /// [`Attack::chunk_reconstructor`] (streaming) without the caller matching
 /// on the scheme.
 #[derive(Debug, Clone)]
@@ -204,109 +200,10 @@ impl Attack {
     }
 }
 
-/// Which execution engine runs an attack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum AttackEngine {
-    /// Materialize the source and run the in-memory [`Reconstructor`].
-    InMemory,
-    /// Two bounded-memory passes through the
-    /// [`StreamingDriver`](crate::streaming::StreamingDriver)
-    /// (`O(chunk · m + m²)` peak memory).
-    Streaming,
-}
-
-impl AttackEngine {
-    /// Display label for tables and reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            AttackEngine::InMemory => "in-memory",
-            AttackEngine::Streaming => "streaming",
-        }
-    }
-}
-
-/// Diagnostics shared by both engines.
-#[derive(Debug, Clone)]
-pub struct EngineReport {
-    /// Records reconstructed into the sink.
-    pub n_records: usize,
-    /// Principal/signal components kept (projection schemes only).
-    pub components_kept: Option<usize>,
-    /// Graceful numerical-degradation warnings: non-empty when the attack
-    /// completed only by repairing an indefinite system (e.g. BE-DR's
-    /// eigenvalue-clipped SPD fallback). Deterministic for a given workload.
-    pub warnings: Vec<String>,
-}
-
-impl AttackEngine {
-    /// Runs `attack` on this engine: records flow from `source`, the
-    /// reconstruction flows into `sink` — the same signature for both
-    /// engines, so callers sweeping the {scheme × engine} matrix need
-    /// exactly one call site.
-    ///
-    /// `InMemory` materializes the source, runs the scheme's
-    /// [`Reconstructor`] (numerically identical to calling it on the
-    /// original table) and hands the sink the whole reconstruction as one
-    /// chunk. `Streaming` runs the scheme's
-    /// [`ChunkReconstructor`] through the default (ring-pipelined)
-    /// [`StreamingDriver`](crate::streaming::StreamingDriver).
-    pub fn run<S, K>(
-        &self,
-        attack: &Attack,
-        source: &mut S,
-        noise: &NoiseModel,
-        sink: &mut K,
-    ) -> Result<EngineReport>
-    where
-        S: RecordChunkSource + Send + ?Sized,
-        K: RecordSink + ?Sized,
-    {
-        match self {
-            AttackEngine::InMemory => {
-                let disguised = materialize(source)?;
-                let (reconstruction, components_kept, warnings) =
-                    attack.reconstruct_table_with_report(&disguised, noise)?;
-                let n_records = reconstruction.n_records();
-                sink.consume_chunk(reconstruction.values())?;
-                Ok(EngineReport {
-                    n_records,
-                    components_kept,
-                    warnings,
-                })
-            }
-            AttackEngine::Streaming => {
-                let chunk_attack = attack.chunk_reconstructor()?;
-                let report =
-                    StreamingDriver::default().run(chunk_attack.as_ref(), source, noise, sink)?;
-                Ok(EngineReport {
-                    n_records: report.n_records,
-                    components_kept: report.components_kept,
-                    warnings: report.warnings,
-                })
-            }
-        }
-    }
-
-    /// Convenience over [`run`](AttackEngine::run) that materializes the
-    /// reconstruction: any scheme, either engine, one `n × m` result table.
-    pub fn reconstruct<S>(
-        &self,
-        attack: &Attack,
-        source: &mut S,
-        noise: &NoiseModel,
-    ) -> Result<DataTable>
-    where
-        S: RecordChunkSource + Send + ?Sized,
-    {
-        let mut sink = TableSink::new(source.n_attributes());
-        self.run(attack, source, noise, &mut sink)?;
-        Ok(DataTable::from_matrix(sink.into_matrix()?)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::streaming::{StreamingDriver, StreamingReport, TableSink};
     use randrecon_data::chunks::TableChunkSource;
     use randrecon_data::synthetic::{EigenSpectrum, SyntheticDataset};
     use randrecon_noise::additive::AdditiveRandomizer;
@@ -320,33 +217,59 @@ mod tests {
         (disguised, randomizer)
     }
 
+    /// Streams `disguised` through `attack` in `chunk_rows`-record chunks on
+    /// the default driver; returns the reconstruction and the driver report.
+    fn stream(
+        attack: &Attack,
+        disguised: &DataTable,
+        noise: &NoiseModel,
+        chunk_rows: usize,
+    ) -> (DataTable, StreamingReport) {
+        let mut source = TableChunkSource::new(disguised, chunk_rows).unwrap();
+        let mut sink = TableSink::new(disguised.n_attributes());
+        let report = StreamingDriver::default()
+            .run(
+                attack.chunk_reconstructor().unwrap().as_ref(),
+                &mut source,
+                noise,
+                &mut sink,
+            )
+            .unwrap();
+        let table = DataTable::from_matrix(sink.into_matrix().unwrap()).unwrap();
+        (table, report)
+    }
+
     #[test]
     fn scheme_labels_and_order() {
         assert_eq!(AttackScheme::all().len(), 5);
         assert_eq!(AttackScheme::PcaDr.label(), "PCA-DR");
         assert_eq!(Attack::standard(AttackScheme::BeDr).label(), "BE-DR");
-        assert_eq!(AttackEngine::Streaming.label(), "streaming");
         for scheme in AttackScheme::all() {
             assert_eq!(Attack::standard(scheme).scheme(), scheme);
         }
     }
 
     #[test]
-    fn in_memory_engine_matches_direct_reconstructor() {
+    fn reconstruct_table_dispatches_to_each_schemes_reconstructor() {
         let (disguised, randomizer) = disguised_workload();
         let noise = randomizer.model();
-        for scheme in AttackScheme::all() {
-            let attack = Attack::standard(scheme);
-            let direct = attack.reconstruct_table(&disguised, noise).unwrap();
-            let mut source = TableChunkSource::new(&disguised, 128).unwrap();
-            let through_engine = AttackEngine::InMemory
-                .reconstruct(&attack, &mut source, noise)
+        let direct: [(AttackScheme, &dyn Reconstructor); 5] = [
+            (AttackScheme::Ndr, &Ndr),
+            (AttackScheme::Udr, &Udr::gaussian_prior()),
+            (
+                AttackScheme::SpectralFiltering,
+                &SpectralFiltering::default(),
+            ),
+            (AttackScheme::PcaDr, &PcaDr::largest_gap()),
+            (AttackScheme::BeDr, &BeDr::default()),
+        ];
+        for (scheme, reconstructor) in direct {
+            assert_eq!(reconstructor.name(), scheme.label());
+            let want = reconstructor.reconstruct(&disguised, noise).unwrap();
+            let got = Attack::standard(scheme)
+                .reconstruct_table(&disguised, noise)
                 .unwrap();
-            assert!(
-                direct.values().approx_eq(through_engine.values(), 0.0),
-                "{}: engine output differs from the direct reconstructor",
-                scheme.label()
-            );
+            assert!(got.approx_eq(&want, 0.0), "{}", scheme.label());
         }
     }
 
@@ -356,19 +279,16 @@ mod tests {
         let noise = randomizer.model();
         for scheme in AttackScheme::all() {
             let attack = Attack::standard(scheme);
-            let mut source = TableChunkSource::new(&disguised, 97).unwrap();
-            let in_memory = AttackEngine::InMemory
-                .reconstruct(&attack, &mut source, noise)
+            let (in_memory, kept, _) = attack
+                .reconstruct_table_with_report(&disguised, noise)
                 .unwrap();
-            let mut source = TableChunkSource::new(&disguised, 97).unwrap();
-            let streamed = AttackEngine::Streaming
-                .reconstruct(&attack, &mut source, noise)
-                .unwrap();
+            let (streamed, report) = stream(&attack, &disguised, noise, 97);
             assert!(
                 in_memory.values().approx_eq(streamed.values(), 1e-9),
                 "{}: engines disagree",
                 scheme.label()
             );
+            assert_eq!(kept, report.components_kept, "{}", scheme.label());
         }
     }
 
@@ -376,20 +296,15 @@ mod tests {
     fn projection_schemes_report_components_on_both_engines() {
         let (disguised, randomizer) = disguised_workload();
         let noise = randomizer.model();
-        for engine in [AttackEngine::InMemory, AttackEngine::Streaming] {
-            let mut source = TableChunkSource::new(&disguised, 128).unwrap();
-            let mut sink = TableSink::new(disguised.n_attributes());
-            let report = engine
-                .run(
-                    &Attack::standard(AttackScheme::PcaDr),
-                    &mut source,
-                    noise,
-                    &mut sink,
-                )
-                .unwrap();
-            assert_eq!(report.n_records, 600);
-            assert_eq!(report.components_kept, Some(2), "{}", engine.label());
-        }
+        let attack = Attack::standard(AttackScheme::PcaDr);
+        let (table, kept, _) = attack
+            .reconstruct_table_with_report(&disguised, noise)
+            .unwrap();
+        assert_eq!(table.n_records(), 600);
+        assert_eq!(kept, Some(2), "in-memory");
+        let (_, report) = stream(&attack, &disguised, noise, 128);
+        assert_eq!(report.n_records, 600);
+        assert_eq!(report.components_kept, Some(2), "streaming");
     }
 
     #[test]
@@ -402,24 +317,39 @@ mod tests {
         assert!(err.to_string().contains("Agrawal"));
         // … but still runs in memory.
         let (disguised, randomizer) = disguised_workload();
-        let mut source = TableChunkSource::new(&disguised, 128).unwrap();
-        assert!(AttackEngine::InMemory
-            .reconstruct(&attack, &mut source, randomizer.model())
+        assert!(attack
+            .reconstruct_table_with_report(&disguised, randomizer.model())
             .is_ok());
+    }
+
+    #[test]
+    fn configured_knobs_agree_across_both_engines() {
+        let (disguised, randomizer) = disguised_workload();
+        let noise = randomizer.model();
+        for attack in [
+            Attack::SpectralFiltering(SpectralFiltering::with_bound_multiplier(1.5).unwrap()),
+            Attack::PcaDr(PcaDr::with_variance_fraction(0.9)),
+            Attack::BeDr(BeDr::with_eigenvalue_floor(1e-3).unwrap()),
+        ] {
+            let (in_memory, kept, _) = attack
+                .reconstruct_table_with_report(&disguised, noise)
+                .unwrap();
+            let (streamed, report) = stream(&attack, &disguised, noise, 80);
+            assert!(
+                in_memory.values().approx_eq(streamed.values(), 1e-9),
+                "{}: engines disagree",
+                attack.label()
+            );
+            assert_eq!(kept, report.components_kept, "{}", attack.label());
+        }
     }
 
     #[test]
     fn configured_attacks_carry_their_knobs_to_the_streaming_engine() {
         let (disguised, randomizer) = disguised_workload();
-        let noise = randomizer.model();
-        // A fixed-count PCA-DR keeps exactly the requested components on both
-        // engines.
+        // A fixed-count PCA-DR keeps exactly the requested components.
         let attack = Attack::PcaDr(PcaDr::with_fixed_components(4));
-        let mut source = TableChunkSource::new(&disguised, 64).unwrap();
-        let mut sink = TableSink::new(disguised.n_attributes());
-        let report = AttackEngine::Streaming
-            .run(&attack, &mut source, noise, &mut sink)
-            .unwrap();
+        let (_, report) = stream(&attack, &disguised, randomizer.model(), 64);
         assert_eq!(report.components_kept, Some(4));
     }
 }

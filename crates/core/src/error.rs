@@ -148,7 +148,7 @@ mod tests {
             reason: "no marginal".into(),
         };
         assert!(e.to_string().contains("UDR"));
-        let e: ReconError = LinalgError::Singular { pivot: 2 }.into();
+        let e: ReconError = LinalgError::NotSquare { shape: (2, 3) }.into();
         assert!(std::error::Error::source(&e).is_some());
         let e = ReconError::AtChunk {
             chunk: 7,

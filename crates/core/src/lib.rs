@@ -28,12 +28,12 @@
 //! pluggable sink, pipelining the sweep on an N-slot ring so sink I/O overlaps
 //! reconstruction.
 //!
-//! The [`engine`] module unifies the two execution paths:
-//! [`engine::AttackScheme`] names the five schemes, [`engine::Attack`]
-//! carries a configured instance, and [`engine::AttackEngine::run`] executes
-//! any scheme on either engine against one `(source, noise, sink)`
-//! signature — the call site the declarative scenario layer in
-//! `randrecon-experiments` dispatches through.
+//! The [`engine`] module names the five schemes ([`engine::AttackScheme`])
+//! and carries a configured instance ([`engine::Attack`]) with one method
+//! per execution path: [`engine::Attack::reconstruct_table_with_report`]
+//! in memory and [`engine::Attack::chunk_reconstructor`] for the streaming
+//! driver. The declarative scenario layer in `randrecon-experiments` calls
+//! both.
 //!
 //! ## Example
 //!
@@ -76,7 +76,7 @@ pub mod traits;
 pub mod udr;
 
 pub use covariance::CovarianceAccumulator;
-pub use engine::{Attack, AttackEngine, AttackScheme, EngineReport};
+pub use engine::{Attack, AttackScheme};
 pub use error::{ReconError, Result};
 pub use selection::ComponentSelection;
 pub use streaming::{

@@ -242,11 +242,6 @@ impl<'a> MseSink<'a> {
         self.rows
     }
 
-    /// Total squared error accumulated so far.
-    pub fn sum_squared_error(&self) -> f64 {
-        self.sum_sq
-    }
-
     /// Mean squared error per value (0 before any row arrives).
     pub fn mse(&self) -> f64 {
         if self.rows == 0 {

@@ -151,7 +151,7 @@ mod tests {
 
     #[test]
     fn conversions_preserve_source() {
-        let e: DataError = LinalgError::Singular { pivot: 0 }.into();
+        let e: DataError = LinalgError::NotSquare { shape: (2, 3) }.into();
         assert!(std::error::Error::source(&e).is_some());
         let e: DataError = StatsError::InsufficientData { got: 0, needed: 1 }.into();
         assert!(std::error::Error::source(&e).is_some());

@@ -253,7 +253,8 @@ impl SyntheticDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use randrecon_linalg::decomposition::{orthonormality_defect, SymmetricEigen};
+    use randrecon_linalg::decomposition::SymmetricEigen;
+    use randrecon_linalg::gram_schmidt::orthonormality_defect;
 
     #[test]
     fn spectrum_construction_and_validation() {

@@ -64,11 +64,6 @@ impl DataTable {
         &self.values
     }
 
-    /// Consumes the table, returning the underlying matrix.
-    pub fn into_values(self) -> Matrix {
-        self.values
-    }
-
     /// Number of records (rows).
     pub fn n_records(&self) -> usize {
         self.values.rows()
@@ -92,12 +87,6 @@ impl DataTable {
     /// Column by index.
     pub fn column(&self, j: usize) -> Vec<f64> {
         self.values.column(j)
-    }
-
-    /// Column by attribute name.
-    pub fn column_by_name(&self, name: &str) -> Result<Vec<f64>> {
-        let idx = self.schema.index_of(name)?;
-        Ok(self.values.column(idx))
     }
 
     /// Per-attribute means.
@@ -205,8 +194,44 @@ mod tests {
         assert_eq!(t.record(1), &[40.0, 42_000.0]);
         assert_eq!(t.records().count(), 4);
         assert_eq!(t.column(0), vec![30.0, 40.0, 50.0, 60.0]);
-        assert_eq!(t.column_by_name("income").unwrap()[3], 65_000.0);
-        assert!(t.column_by_name("missing").is_err());
+    }
+
+    #[test]
+    fn values_is_the_backing_matrix() {
+        let t = sample();
+        let m = t.values();
+        assert_eq!(m.shape(), (4, 2));
+        for (i, record) in t.records().enumerate() {
+            assert_eq!(record, m.row(i));
+            assert_eq!(t.record(i), m.row(i));
+        }
+        for j in 0..2 {
+            assert_eq!(t.column(j), m.column(j));
+        }
+        let rebuilt = DataTable::new(t.schema().clone(), m.clone()).unwrap();
+        assert!(rebuilt.approx_eq(&t, 0.0));
+    }
+
+    #[test]
+    fn from_named_columns_rejects_ragged_and_duplicate_columns() {
+        let ragged = [("a", vec![1.0, 2.0]), ("b", vec![1.0])];
+        assert!(DataTable::from_named_columns(&ragged).is_err());
+        let duplicate = [("a", vec![1.0]), ("a", vec![2.0])];
+        assert!(DataTable::from_named_columns(&duplicate).is_err());
+        assert!(DataTable::from_named_columns(&[]).is_err());
+        let t = DataTable::from_named_columns(&[("x", vec![1.0]), ("y", vec![2.0])]).unwrap();
+        assert_eq!(t.schema().names(), vec!["x", "y"]);
+        assert_eq!(t.schema().sensitive_indices(), vec![0, 1]);
+    }
+
+    #[test]
+    fn approx_eq_needs_matching_names_and_values() {
+        let t = sample();
+        let renamed = DataTable::from_matrix(t.values().clone()).unwrap();
+        assert!(!t.approx_eq(&renamed, f64::INFINITY));
+        let nudged = t.with_values(t.values().map(|v| v + 1e-6)).unwrap();
+        assert!(t.approx_eq(&nudged, 1e-5));
+        assert!(!t.approx_eq(&nudged, 1e-7));
     }
 
     #[test]
@@ -263,13 +288,5 @@ mod tests {
         assert_eq!(t.head(2).n_records(), 2);
         assert_eq!(t.head(100).n_records(), 4);
         assert_eq!(t.head(2).record(1), t.record(1));
-    }
-
-    #[test]
-    fn into_values_returns_matrix() {
-        let t = sample();
-        let m = t.clone().into_values();
-        assert_eq!(m.shape(), (4, 2));
-        assert_eq!(m, *t.values());
     }
 }

@@ -97,20 +97,6 @@ impl Ar1Spec {
         let values = Matrix::from_columns(&columns)?;
         DataTable::from_matrix(values)
     }
-
-    /// The exact covariance matrix of a window of `w` consecutive samples
-    /// (a Toeplitz matrix of autocovariances) — what the temporal attack's
-    /// Bayes estimate needs as its prior.
-    pub fn window_covariance(&self, w: usize) -> Result<Matrix> {
-        if w == 0 {
-            return Err(DataError::InvalidWorkload {
-                reason: "window must have at least one sample".to_string(),
-            });
-        }
-        Ok(Matrix::from_fn(w, w, |i, j| {
-            self.autocovariance(i.abs_diff(j))
-        }))
-    }
 }
 
 /// Estimates the lag-1 autocorrelation of a series (used by the temporal
@@ -170,10 +156,40 @@ mod tests {
         let v = spec.stationary_variance();
         assert!((spec.autocovariance(0) - v).abs() < 1e-12);
         assert!((spec.autocovariance(2) - v * 0.25).abs() < 1e-12);
-        let cov = spec.window_covariance(4).unwrap();
-        assert!(cov.is_symmetric(1e-12));
-        assert!((cov.get(0, 3) - v * 0.125).abs() < 1e-12);
-        assert!(spec.window_covariance(0).is_err());
+        assert!((spec.autocovariance(3) - v * 0.125).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sample_autocovariance_matches_theory_at_several_lags() {
+        let spec = Ar1Spec::new(0.6, 1.0, 2.0).unwrap();
+        let series = spec.generate(50_000, &mut seeded_rng(3)).unwrap();
+        let mean = summary::mean(&series);
+        for lag in 1..=4 {
+            let pairs = series.len() - lag;
+            let sample = (0..pairs)
+                .map(|t| (series[t] - mean) * (series[t + lag] - mean))
+                .sum::<f64>()
+                / pairs as f64;
+            let theory = spec.autocovariance(lag);
+            assert!(
+                (sample - theory).abs() < 0.06,
+                "lag {lag}: sample {sample} vs theory {theory}"
+            );
+        }
+    }
+
+    #[test]
+    fn table_columns_are_independent_series() {
+        let spec = Ar1Spec::new(-0.7, 1.0, 0.0).unwrap();
+        let t = spec.generate_table(20_000, 3, 11).unwrap();
+        for j in 0..3 {
+            let rho = lag1_autocorrelation(&t.column(j));
+            assert!((rho + 0.7).abs() < 0.03, "series {j}: rho {rho}");
+            for k in 0..j {
+                let r = summary::correlation(&t.column(j), &t.column(k));
+                assert!(r.abs() < 0.05, "series {k} and {j}: correlation {r}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@ use proptest::prelude::*;
 use randrecon_data::csv::{from_csv_string, to_csv_string};
 use randrecon_data::synthetic::{covariance_from_spectrum, random_orthogonal, EigenSpectrum};
 use randrecon_data::DataTable;
-use randrecon_linalg::decomposition::{orthonormality_defect, SymmetricEigen};
+use randrecon_linalg::decomposition::SymmetricEigen;
+use randrecon_linalg::gram_schmidt::orthonormality_defect;
 use randrecon_linalg::Matrix;
 use randrecon_stats::rng::seeded_rng;
 

@@ -176,11 +176,19 @@ fn parse_args() -> Result<Args, String> {
                     )
                 }
             },
-            "--worker-timeout" => match iter.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(secs) if secs > 0.0 && secs.is_finite() => {
-                    args.worker_timeout = Some(Duration::from_secs_f64(secs))
+            "--worker-timeout" => match iter
+                .next()
+                .and_then(|s| s.parse::<f64>().ok())
+                .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+                .filter(|timeout| !timeout.is_zero())
+            {
+                Some(timeout) => args.worker_timeout = Some(timeout),
+                None => {
+                    return Err(
+                        "--worker-timeout needs a positive number of seconds below 1.8e19"
+                            .to_string(),
+                    )
                 }
-                _ => return Err("--worker-timeout needs a positive number of seconds".to_string()),
             },
             "--hang" => match iter.next().and_then(|s| s.parse().ok()) {
                 Some(records) => args.hang = Some(records),

@@ -938,24 +938,6 @@ pub fn workload_groups(specs: &[ScenarioSpec]) -> Vec<Vec<usize>> {
     groups.into_iter().map(|(_, members)| members).collect()
 }
 
-/// Groups scenario indices by **data fingerprint**
-/// ([`ScenarioSpec::data_fingerprint`]), in first-appearance order — the
-/// coarser, second level of the two-level workload grouping. One data group
-/// may span several workload groups (same dataset, different noise models or
-/// attack families); the runner's [`DatasetPool`] generates each data
-/// group's per-trial dataset exactly once.
-pub fn data_groups(specs: &[ScenarioSpec]) -> Vec<Vec<usize>> {
-    let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
-    for (i, spec) in specs.iter().enumerate() {
-        let fp = spec.data_fingerprint();
-        match groups.iter_mut().find(|(key, _)| *key == fp) {
-            Some((_, members)) => members.push(i),
-            None => groups.push((fp, vec![i])),
-        }
-    }
-    groups.into_iter().map(|(_, members)| members).collect()
-}
-
 /// Process-wide count of dataset constructions (synthetic generations, AR(1)
 /// generations, CSV materializations, synthetic stream sources) since
 /// process start or the last [`reset_dataset_generations`]. The observable

@@ -1,8 +1,9 @@
 //! The `scenarios` binary as the one experiment entry point: `--grid`
-//! names a registered grid, an unknown name is a usage error, figure grids
-//! print their series tables, and a sharded coordinator forwards `--grid`
-//! to its workers (so the merged `outcome hash:` matches a single-process
-//! run of the same grid).
+//! names a registered grid, an unknown name or an out-of-range
+//! `--worker-timeout` is a usage error, figure grids print their series
+//! tables, and a sharded coordinator forwards `--grid` to its workers (so
+//! the merged `outcome hash:` matches a single-process run of the same
+//! grid).
 //!
 //! The binary writes `results/` relative to its working directory, so every
 //! run gets its own scratch directory.
@@ -50,6 +51,26 @@ fn unknown_grid_is_a_usage_error_naming_the_registered_grids() {
     assert!(stderr.contains("unknown grid 'figure9'"), "{stderr}");
     for name in grids::names() {
         assert!(stderr.contains(name), "{name} missing from:\n{stderr}");
+    }
+    assert!(!dir.join("results").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn out_of_range_worker_timeouts_are_usage_errors() {
+    let dir = scratch_dir("timeout");
+    for secs in ["1e20", "inf", "nan", "0", "-1"] {
+        let output = scenarios(
+            &dir,
+            &["--smoke", "--shards", "2", "--worker-timeout", secs],
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{secs}: {stderr}");
+        assert!(
+            stderr.contains("usage error: --worker-timeout needs a positive number"),
+            "{secs}: {stderr}"
+        );
+        assert!(stderr.contains("usage: scenarios"), "{secs}: {stderr}");
     }
     assert!(!dir.join("results").exists());
     let _ = std::fs::remove_dir_all(&dir);

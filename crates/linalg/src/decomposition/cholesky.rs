@@ -2,10 +2,9 @@
 //!
 //! The factorization and both solvers operate on contiguous row slices of the
 //! flat storage (prefix dot products / row `axpy` updates), so the inner
-//! loops carry no per-element bounds checks and vectorize. Callers should
-//! prefer [`Cholesky::solve`] / [`Cholesky::solve_matrix`] over
-//! [`Cholesky::inverse`]: a solve against the actual right-hand side is both
-//! faster and more accurate than materializing `A⁻¹` and multiplying.
+//! loops carry no per-element bounds checks and vectorize. There is no
+//! `inverse`: a solve against the actual right-hand side is both faster and
+//! more accurate than materializing `A⁻¹` and multiplying.
 
 use crate::error::{LinalgError, Result};
 use crate::kernels;
@@ -17,8 +16,8 @@ use crate::matrix::Matrix;
 /// 1. sampling from a multivariate normal with covariance `Σ` (draw `z ~ N(0, I)`
 ///    and return `μ + L z`), which is how the synthetic workloads of Section 7.1
 ///    and the correlated-noise defense of Section 8 are generated;
-/// 2. solving / inverting the SPD systems that appear in the Bayes-estimate
-///    reconstruction, e.g. `(Σ_x⁻¹ + σ⁻² I)⁻¹` in Equation (11).
+/// 2. solving the SPD systems that appear in the Bayes-estimate
+///    reconstruction, e.g. against `Σ_x + Σ_r` in Equation (11).
 #[derive(Debug, Clone)]
 pub struct Cholesky {
     l: Matrix,
@@ -165,23 +164,10 @@ impl Cholesky {
         Ok(x)
     }
 
-    /// Computes `A⁻¹`.
-    ///
-    /// Prefer [`Cholesky::solve_matrix`] against the actual right-hand side:
-    /// no reconstruction path in this workspace materializes an inverse.
-    pub fn inverse(&self) -> Result<Matrix> {
-        self.solve_matrix(&Matrix::identity(self.dim()))
-    }
-
     /// Log-determinant of `A` (= 2 Σ log Lᵢᵢ), useful for multivariate-normal
     /// log densities.
     pub fn log_determinant(&self) -> f64 {
         (0..self.dim()).map(|i| self.l.get(i, i).ln()).sum::<f64>() * 2.0
-    }
-
-    /// Determinant of `A`.
-    pub fn determinant(&self) -> f64 {
-        self.log_determinant().exp()
     }
 }
 
@@ -227,7 +213,10 @@ mod tests {
     #[test]
     fn inverse_times_matrix_is_identity() {
         let a = spd3();
-        let inv = Cholesky::new(&a).unwrap().inverse().unwrap();
+        let inv = Cholesky::new(&a)
+            .unwrap()
+            .solve_matrix(&Matrix::identity(3))
+            .unwrap();
         let prod = a.matmul(&inv).unwrap();
         assert!(prod.approx_eq(&Matrix::identity(3), 1e-10));
     }
@@ -236,8 +225,67 @@ mod tests {
     fn determinant_of_diagonal() {
         let d = Matrix::from_diag(&[2.0, 3.0, 4.0]);
         let ch = Cholesky::new(&d).unwrap();
-        assert!((ch.determinant() - 24.0).abs() < 1e-9);
         assert!((ch.log_determinant() - 24.0_f64.ln()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn log_determinant_matches_cofactor_expansion() {
+        let a = spd3();
+        let det = a.get(0, 0) * (a.get(1, 1) * a.get(2, 2) - a.get(1, 2) * a.get(2, 1))
+            - a.get(0, 1) * (a.get(1, 0) * a.get(2, 2) - a.get(1, 2) * a.get(2, 0))
+            + a.get(0, 2) * (a.get(1, 0) * a.get(2, 1) - a.get(1, 1) * a.get(2, 0));
+        let ch = Cholesky::new(&a).unwrap();
+        assert!((ch.log_determinant() - det.ln()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn identity_factors_exactly() {
+        let eye = Matrix::identity(4);
+        let ch = Cholesky::new(&eye).unwrap();
+        assert_eq!(ch.dim(), 4);
+        assert_eq!(ch.l(), &eye);
+        assert_eq!(ch.log_determinant(), 0.0);
+        let b = vec![3.0, -1.0, 0.5, 7.0];
+        assert_eq!(ch.solve_vec(&b).unwrap(), b);
+    }
+
+    #[test]
+    fn solve_recovers_known_solution() {
+        let a = spd3();
+        let ch = Cholesky::new(&a).unwrap();
+        let x = vec![1.5, -2.0, 0.25];
+        let got = ch.solve_vec(&a.matvec(&x).unwrap()).unwrap();
+        for (g, w) in got.iter().zip(&x) {
+            assert!((g - w).abs() < 1e-12, "{g} vs {w}");
+        }
+        // Several right-hand sides at once: columns x, 2x and -x.
+        let twice: Vec<f64> = x.iter().map(|v| 2.0 * v).collect();
+        let negated: Vec<f64> = x.iter().map(|v| -v).collect();
+        let xs = Matrix::from_columns(&[x, twice, negated]).unwrap();
+        let solved = ch.solve_matrix(&a.matmul(&xs).unwrap()).unwrap();
+        assert!(solved.approx_eq(&xs, 1e-12));
+    }
+
+    #[test]
+    fn rejects_singular_matrix_at_the_failing_pivot() {
+        // Rank one: the second pivot is exactly zero.
+        let rank_one = Matrix::from_rows(&[&[1.0, 1.0][..], &[1.0, 1.0][..]]).unwrap();
+        // B Bᵀ for B = [e1, e2, e1 + e2]ᵀ: rank two, the third pivot vanishes.
+        let rank_two = Matrix::from_rows(&[
+            &[1.0, 0.0, 1.0][..],
+            &[0.0, 1.0, 1.0][..],
+            &[1.0, 1.0, 2.0][..],
+        ])
+        .unwrap();
+        for (a, failing) in [(rank_one, 1), (rank_two, 2)] {
+            match Cholesky::new(&a) {
+                Err(LinalgError::NotPositiveDefinite { pivot, value }) => {
+                    assert_eq!(pivot, failing);
+                    assert_eq!(value, 0.0);
+                }
+                other => panic!("expected a failure at pivot {failing}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

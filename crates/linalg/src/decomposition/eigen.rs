@@ -180,34 +180,6 @@ impl SymmetricEigen {
     pub fn total_variance(&self) -> f64 {
         self.eigenvalues.iter().sum()
     }
-
-    /// Fraction of total variance captured by the leading `p` eigenvalues.
-    pub fn explained_variance_ratio(&self, p: usize) -> f64 {
-        let total = self.total_variance();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        self.eigenvalues.iter().take(p).sum::<f64>() / total
-    }
-
-    /// Index `p` (1-based count) at which the largest *gap* between consecutive
-    /// eigenvalues occurs; the paper's experiments use this "dominant
-    /// eigenvalue" rule to pick how many principal components to keep.
-    pub fn largest_gap_split(&self) -> usize {
-        if self.eigenvalues.len() <= 1 {
-            return self.eigenvalues.len();
-        }
-        let mut best_idx = 1;
-        let mut best_gap = f64::NEG_INFINITY;
-        for i in 0..self.eigenvalues.len() - 1 {
-            let gap = self.eigenvalues[i] - self.eigenvalues[i + 1];
-            if gap > best_gap {
-                best_gap = gap;
-                best_idx = i + 1;
-            }
-        }
-        best_idx
-    }
 }
 
 /// Cyclic Jacobi eigendecomposition — the pinned reference solver.
@@ -317,7 +289,7 @@ fn off_diagonal_norm(m: &Matrix) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decomposition::qr::orthonormality_defect;
+    use crate::gram_schmidt::orthonormality_defect;
 
     fn sym3() -> Matrix {
         Matrix::from_rows(&[
@@ -374,28 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn explained_variance_ratio_monotone() {
-        let a = Matrix::from_diag(&[10.0, 5.0, 1.0]);
-        let eig = SymmetricEigen::new(&a).unwrap();
-        let r1 = eig.explained_variance_ratio(1);
-        let r2 = eig.explained_variance_ratio(2);
-        let r3 = eig.explained_variance_ratio(3);
-        assert!(r1 < r2 && r2 < r3);
-        assert!((r3 - 1.0).abs() < 1e-12);
-        assert!((r1 - 10.0 / 16.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn largest_gap_split_finds_dominant_block() {
-        let d = Matrix::from_diag(&[400.0, 400.0, 399.0, 5.0, 4.0, 3.0]);
-        let eig = SymmetricEigen::new(&d).unwrap();
-        assert_eq!(eig.largest_gap_split(), 3);
-
-        let single = Matrix::from_diag(&[2.0]);
-        assert_eq!(SymmetricEigen::new(&single).unwrap().largest_gap_split(), 1);
-    }
-
-    #[test]
     fn rejects_bad_inputs() {
         assert!(SymmetricEigen::new(&Matrix::zeros(2, 3)).is_err());
         let asym = Matrix::from_rows(&[&[1.0, 2.0][..], &[0.0, 1.0][..]]).unwrap();
@@ -411,6 +361,18 @@ mod tests {
             eigen_jacobi(&asym),
             Err(LinalgError::NotSymmetric { .. })
         ));
+    }
+
+    #[test]
+    fn rank_one_matrix_has_a_single_nonzero_eigenvalue() {
+        // v vᵀ has eigenvalue |v|² = 9 along v and 0 on its complement.
+        let v = [1.0, 2.0, 2.0];
+        let eig = SymmetricEigen::new(&crate::vector::outer(&v, &v)).unwrap();
+        assert!((eig.eigenvalues[0] - 9.0).abs() < 1e-10);
+        assert!(eig.eigenvalues[1..].iter().all(|l| l.abs() < 1e-10));
+        // The sign convention makes the leading eigenvector +v/|v|.
+        let cos = crate::vector::dot(&eig.eigenvectors.column(0), &v).unwrap() / 3.0;
+        assert!((cos - 1.0).abs() < 1e-10, "cos = {cos}");
     }
 
     #[test]

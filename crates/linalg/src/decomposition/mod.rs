@@ -1,10 +1,7 @@
 //! Matrix decompositions.
 //!
-//! * [`Cholesky`] — for sampling from multivariate normals and for inverting
-//!   the SPD matrices that show up in the Bayes-estimate reconstruction.
-//! * [`Lu`] — general linear solves / inverses / determinants.
-//! * [`Qr`] — Householder QR, used for orthogonality checks and as an
-//!   alternative orthonormalization path.
+//! * [`Cholesky`] — for sampling from multivariate normals and for the SPD
+//!   solves of the Bayes-estimate reconstruction.
 //! * [`SymmetricEigen`] — symmetric eigendecomposition; the workhorse behind
 //!   PCA-DR and Spectral Filtering. The default path is Householder
 //!   tridiagonalization + implicit-shift QL ([`tridiagonal`]); the original
@@ -13,12 +10,8 @@
 
 mod cholesky;
 mod eigen;
-mod lu;
-mod qr;
 pub mod tridiagonal;
 
 pub use cholesky::Cholesky;
 pub use eigen::{eigen_jacobi, recompose, SymmetricEigen};
-pub use lu::{invert, Lu};
-pub use qr::{orthonormality_defect, Qr};
 pub use tridiagonal::{symmetric_eigenvalues, Tridiagonal};

@@ -443,7 +443,7 @@ fn dot_unchecked(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decomposition::qr::orthonormality_defect;
+    use crate::gram_schmidt::orthonormality_defect;
 
     fn deterministic_symmetric(n: usize) -> Matrix {
         let mut a = Matrix::zeros(n, n);

@@ -34,11 +34,6 @@ pub enum LinalgError {
         /// Value of the offending pivot.
         value: f64,
     },
-    /// A solve or inverse hit a (numerically) singular matrix.
-    Singular {
-        /// Index of the pivot that vanished.
-        pivot: usize,
-    },
     /// The Jacobi eigensolver did not converge within the sweep budget.
     EigenDidNotConverge {
         /// Number of sweeps performed before giving up.
@@ -76,9 +71,6 @@ impl fmt::Display for LinalgError {
                 f,
                 "matrix is not positive definite: pivot {pivot} has value {value:e}"
             ),
-            LinalgError::Singular { pivot } => {
-                write!(f, "matrix is singular at pivot {pivot}")
-            }
             LinalgError::EigenDidNotConverge {
                 sweeps,
                 off_diagonal_norm,
@@ -121,10 +113,7 @@ mod tests {
     }
 
     #[test]
-    fn display_singular_and_eigen() {
-        assert!(LinalgError::Singular { pivot: 1 }
-            .to_string()
-            .contains("singular"));
+    fn display_eigen_did_not_converge() {
         let e = LinalgError::EigenDidNotConverge {
             sweeps: 10,
             off_diagonal_norm: 1.0,

@@ -48,12 +48,19 @@ pub fn orthonormalize_columns(a: &Matrix) -> Result<Matrix> {
     Matrix::from_columns(&columns)
 }
 
-/// Measures the worst-case deviation of `QᵀQ` from the identity.
-///
-/// Re-exported here (as well as in the QR module) because the synthetic data
-/// generator uses it to validate the bases it builds.
+/// Measures how far `q` is from having orthonormal columns: the largest
+/// entry of `|QᵀQ − I|`. The tests of every basis this workspace builds
+/// (Gram–Schmidt, eigenvectors, the synthetic spectra) check it.
 pub fn orthonormality_defect(q: &Matrix) -> f64 {
-    crate::decomposition::orthonormality_defect(q)
+    let gram = q.transpose().matmul(q).expect("shape is always compatible");
+    let mut worst = 0.0_f64;
+    for i in 0..gram.rows() {
+        for j in 0..gram.cols() {
+            let target = if i == j { 1.0 } else { 0.0 };
+            worst = worst.max((gram.get(i, j) - target).abs());
+        }
+    }
+    worst
 }
 
 #[cfg(test)]
@@ -79,6 +86,45 @@ mod tests {
         // First column should just be the normalized first input column.
         assert!((q.get(0, 0) - 1.0).abs() < 1e-12);
         assert!(q.get(1, 0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn identity_is_a_fixed_point() {
+        let eye = Matrix::identity(4);
+        assert_eq!(orthonormalize_columns(&eye).unwrap(), eye);
+    }
+
+    #[test]
+    fn projections_onto_the_basis_form_a_thin_qr() {
+        // R = QᵀA is upper triangular with a positive diagonal and Q R = A:
+        // each input column lies in the span of the basis vectors so far.
+        let a = Matrix::from_rows(&[
+            &[2.0, -1.0, 0.5][..],
+            &[1.0, 3.0, 1.0][..],
+            &[0.0, 1.0, -2.0][..],
+            &[1.0, 0.0, 1.0][..],
+        ])
+        .unwrap();
+        let q = orthonormalize_columns(&a).unwrap();
+        let r = q.transpose().matmul(&a).unwrap();
+        for i in 0..3 {
+            assert!(r.get(i, i) > 0.0, "R[{i}][{i}] = {}", r.get(i, i));
+            for j in 0..i {
+                assert!(r.get(i, j).abs() < 1e-12, "R[{i}][{j}] = {}", r.get(i, j));
+            }
+        }
+        assert!(q.matmul(&r).unwrap().approx_eq(&a, 1e-12));
+    }
+
+    #[test]
+    fn orthonormality_defect_is_the_largest_gram_error() {
+        assert_eq!(orthonormality_defect(&Matrix::identity(3)), 0.0);
+        // Orthogonal columns of length 2: QᵀQ = 4I.
+        assert_eq!(orthonormality_defect(&Matrix::identity(3).scale(2.0)), 3.0);
+        // Unit columns 45° apart: the off-diagonal cosine dominates.
+        let s = std::f64::consts::FRAC_1_SQRT_2;
+        let skew = Matrix::from_rows(&[&[1.0, s][..], &[0.0, s][..]]).unwrap();
+        assert!((orthonormality_defect(&skew) - s).abs() < 1e-15);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! Information from Randomized Data", Huang, Du & Chen) leans on a small but
 //! specific set of matrix computations: covariance algebra, symmetric
 //! eigendecomposition (for PCA-based reconstruction and spectral filtering),
-//! Cholesky factorization (for multivariate-normal sampling), linear solves and
-//! inverses (for the Bayes-estimate reconstruction), and Gram–Schmidt
+//! Cholesky factorization (for multivariate-normal sampling and the SPD
+//! solves of the Bayes-estimate reconstruction), and Gram–Schmidt
 //! orthonormalization (for the synthetic workload generator of Section 7.1).
 //!
 //! Rather than pulling in `ndarray`/`nalgebra`, this crate implements exactly
@@ -18,9 +18,7 @@
 //!
 //! * [`Matrix`] — dense, row-major, `f64` matrix with the usual arithmetic.
 //! * [`vector`] — free functions over `&[f64]` slices (dot products, norms, …).
-//! * [`decomposition::Cholesky`] — SPD factorization, solve, inverse, log-det.
-//! * [`decomposition::Lu`] — LU with partial pivoting, solve, inverse, det.
-//! * [`decomposition::Qr`] — Householder QR.
+//! * [`decomposition::Cholesky`] — SPD factorization, solves, log-det.
 //! * [`decomposition::SymmetricEigen`] — symmetric eigensolver, eigenpairs
 //!   sorted by descending eigenvalue: Householder tridiagonalization +
 //!   implicit-shift QL by default, with the cyclic Jacobi solver retained as
@@ -28,7 +26,7 @@
 //!   fallback.
 //! * [`gram_schmidt`] — modified Gram–Schmidt orthonormalization, used to build
 //!   random orthogonal eigenvector bases exactly as the paper's experiment
-//!   methodology prescribes.
+//!   methodology prescribes, and the orthonormality check the tests use.
 //! * [`parallel`] — the shared `randrecon-parallel` pool, re-exported so a
 //!   crate that depends only on this one (the CSV codec in
 //!   `randrecon-data`) runs on the same workers.
@@ -98,8 +96,7 @@
 //!   applies forward/back substitution to whole right-hand-side rows with
 //!   contiguous `axpy`s. Every reconstruction path in the workspace is
 //!   expressed through solves against a single factorization (e.g. BE-DR
-//!   factors `Σ_x + Σ_r` exactly once); `inverse()` exists for callers that
-//!   genuinely need the matrix, but nothing on the attack pipeline uses it.
+//!   factors `Σ_x + Σ_r` exactly once), so the crate has no inverse.
 //! * **Chunk sweeps compose with the kernels.** The streaming attack engine
 //!   (`randrecon-core::streaming`) feeds records through these kernels one
 //!   chunk at a time: pass 1 accumulates `Σ̂` with the same contiguous

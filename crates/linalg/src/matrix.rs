@@ -109,12 +109,6 @@ impl Matrix {
         })
     }
 
-    /// Creates a matrix from a vector of owned rows.
-    pub fn from_row_vecs(rows: Vec<Vec<f64>>) -> Result<Self> {
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        Matrix::from_rows(&refs)
-    }
-
     /// Creates a matrix whose columns are the given vectors.
     pub fn from_columns(columns: &[Vec<f64>]) -> Result<Self> {
         if columns.is_empty() {
@@ -245,15 +239,6 @@ impl Matrix {
         }
     }
 
-    /// Copies `values` into row `i`.
-    ///
-    /// # Panics
-    /// Panics if `values.len() != cols`.
-    pub fn set_row(&mut self, i: usize, values: &[f64]) {
-        assert_eq!(values.len(), self.cols, "row length mismatch");
-        self.row_mut(i).copy_from_slice(values);
-    }
-
     /// Iterator over rows as slices.
     pub fn row_iter(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.cols)
@@ -264,18 +249,6 @@ impl Matrix {
         (0..self.rows.min(self.cols))
             .map(|i| self.get(i, i))
             .collect()
-    }
-
-    /// Swaps rows `a` and `b` in place.
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
-        }
-        for j in 0..self.cols {
-            let t = self.get(a, j);
-            self.set(a, j, self.get(b, j));
-            self.set(b, j, t);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -933,8 +906,19 @@ mod tests {
         let mut m2 = m.clone();
         m2.set_column(0, &[7.0, 8.0]);
         assert_eq!(m2.get(1, 0), 8.0);
-        m2.set_row(0, &[0.0, 0.0, 0.0]);
-        assert_eq!(m2.row(0), &[0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn filled_rows_edit_in_place_and_iterate_in_order() {
+        let mut m = Matrix::filled(3, 2, 7.0);
+        assert!(m.as_slice().iter().all(|&v| v == 7.0));
+        m.row_mut(1).copy_from_slice(&[1.0, 2.0]);
+        let rows: Vec<&[f64]> = m.row_iter().collect();
+        assert_eq!(
+            rows,
+            vec![&[7.0, 7.0][..], &[1.0, 2.0][..], &[7.0, 7.0][..]]
+        );
+        assert_eq!(m.column(1), vec![7.0, 2.0, 7.0]);
     }
 
     #[test]
@@ -1071,15 +1055,6 @@ mod tests {
         assert!(sym.is_symmetric(1e-12));
         assert!((sym.get(0, 1) - 1.25).abs() < 1e-12);
         assert!(sample().symmetrize().is_err());
-    }
-
-    #[test]
-    fn swap_rows_works() {
-        let mut m = sample();
-        m.swap_rows(0, 1);
-        assert_eq!(m.row(0), &[4.0, 5.0, 6.0]);
-        m.swap_rows(1, 1);
-        assert_eq!(m.row(1), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -23,16 +23,6 @@ pub fn norm(a: &[f64]) -> f64 {
     a.iter().map(|&x| x * x).sum::<f64>().sqrt()
 }
 
-/// L1 norm (sum of absolute values).
-pub fn norm_l1(a: &[f64]) -> f64 {
-    a.iter().map(|&x| x.abs()).sum()
-}
-
-/// L∞ norm (largest absolute value).
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0_f64, |acc, &x| acc.max(x.abs()))
-}
-
 /// Element-wise sum `a + b`.
 pub fn add(a: &[f64], b: &[f64]) -> Result<Vec<f64>> {
     zip_with(a, b, "vector add", |x, y| x + y)
@@ -132,8 +122,6 @@ mod tests {
     #[test]
     fn norms() {
         assert_eq!(norm(&[3.0, 4.0]), 5.0);
-        assert_eq!(norm_l1(&[-3.0, 4.0]), 7.0);
-        assert_eq!(norm_inf(&[-3.0, 4.0, -5.0]), 5.0);
         assert_eq!(norm(&[]), 0.0);
     }
 

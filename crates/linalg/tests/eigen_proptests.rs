@@ -23,10 +23,8 @@
 //! the waves introduced would surface against the Jacobi reference too.
 
 use proptest::prelude::*;
-use randrecon_linalg::decomposition::{
-    eigen_jacobi, orthonormality_defect, recompose, SymmetricEigen,
-};
-use randrecon_linalg::gram_schmidt::orthonormalize_columns;
+use randrecon_linalg::decomposition::{eigen_jacobi, recompose, SymmetricEigen};
+use randrecon_linalg::gram_schmidt::{orthonormality_defect, orthonormalize_columns};
 use randrecon_linalg::Matrix;
 
 /// Asserts the full eigensolver contract for one decomposition of `a`.

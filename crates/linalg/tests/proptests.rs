@@ -5,8 +5,8 @@
 //! round-trips, spectral properties, and orthonormality of Gram–Schmidt bases.
 
 use proptest::prelude::*;
-use randrecon_linalg::decomposition::{orthonormality_defect, Cholesky, Lu, SymmetricEigen};
-use randrecon_linalg::gram_schmidt::orthonormalize_columns;
+use randrecon_linalg::decomposition::{Cholesky, SymmetricEigen};
+use randrecon_linalg::gram_schmidt::{orthonormality_defect, orthonormalize_columns};
 use randrecon_linalg::Matrix;
 
 /// Strategy: a small matrix with entries in [-10, 10].
@@ -77,12 +77,14 @@ proptest! {
         }
     }
 
+    /// Solving against the identity yields `A⁻¹`, which inverts `A` from
+    /// both sides.
     #[test]
-    fn lu_inverse_roundtrip(a in spd_matrix(4)) {
-        // SPD matrices are invertible, so LU must succeed on them too.
-        let inv = Lu::new(&a).unwrap().inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        prop_assert!(prod.approx_eq(&Matrix::identity(4), 1e-6));
+    fn cholesky_solve_against_identity_inverts(a in spd_matrix(4)) {
+        let eye = Matrix::identity(4);
+        let inv = Cholesky::new(&a).unwrap().solve_matrix(&eye).unwrap();
+        prop_assert!(a.matmul(&inv).unwrap().approx_eq(&eye, 1e-6));
+        prop_assert!(inv.matmul(&a).unwrap().approx_eq(&eye, 1e-6));
     }
 
     #[test]
@@ -110,6 +112,22 @@ proptest! {
         if let Ok(q) = orthonormalize_columns(&a) {
             prop_assert!(orthonormality_defect(&q) < 1e-8);
             prop_assert_eq!(q.shape(), (6, 4));
+        }
+    }
+
+    /// Gram–Schmidt is a thin QR: `R = QᵀA` is upper triangular and `Q R`
+    /// rebuilds `A`.
+    #[test]
+    fn gram_schmidt_is_a_thin_qr(a in small_matrix(6, 4)) {
+        if let Ok(q) = orthonormalize_columns(&a) {
+            let r = q.transpose().matmul(&a).unwrap();
+            let tol = 1e-8 * a.max_abs().max(1.0);
+            for i in 0..4 {
+                for j in 0..i {
+                    prop_assert!(r.get(i, j).abs() < tol, "R[{}][{}] = {}", i, j, r.get(i, j));
+                }
+            }
+            prop_assert!(q.matmul(&r).unwrap().approx_eq(&a, tol));
         }
     }
 

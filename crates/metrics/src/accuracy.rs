@@ -42,11 +42,6 @@ pub fn rmse(original: &DataTable, reconstructed: &DataTable) -> Result<f64> {
     Ok(mse(original, reconstructed)?.sqrt())
 }
 
-/// Root-mean-square error between two matrices.
-pub fn rmse_matrices(original: &Matrix, reconstructed: &Matrix) -> Result<f64> {
-    Ok(mse_matrices(original, reconstructed)?.sqrt())
-}
-
 /// RMSE computed separately for every attribute (column).
 pub fn per_attribute_rmse(original: &DataTable, reconstructed: &DataTable) -> Result<Vec<f64>> {
     let a = original.values();
@@ -120,12 +115,37 @@ mod tests {
     }
 
     #[test]
+    fn squared_rmse_is_the_mean_of_per_attribute_squared_rmse() {
+        let a = table(Matrix::from_fn(6, 3, |i, j| (i * 3 + j) as f64));
+        let b = table(Matrix::from_fn(6, 3, |i, j| {
+            (i * 3 + j) as f64 + ((i + 2 * j) % 4) as f64 - 1.5
+        }));
+        let per = per_attribute_rmse(&a, &b).unwrap();
+        let mean_sq = per.iter().map(|r| r * r).sum::<f64>() / per.len() as f64;
+        assert!((mse(&a, &b).unwrap() - mean_sq).abs() < 1e-12);
+        assert!((rmse(&a, &b).unwrap() - mean_sq.sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_tables_rejected() {
+        let empty = table(Matrix::zeros(0, 2));
+        assert!(matches!(
+            mse(&empty, &empty),
+            Err(MetricsError::EmptyInput { .. })
+        ));
+        assert!(matches!(
+            per_attribute_rmse(&empty, &empty),
+            Err(MetricsError::EmptyInput { .. })
+        ));
+        assert!(rmse(&empty, &empty).is_err());
+    }
+
+    #[test]
     fn shape_mismatch_rejected() {
         let a = table(Matrix::zeros(2, 2));
         let b = table(Matrix::zeros(3, 2));
         assert!(mse(&a, &b).is_err());
         assert!(per_attribute_rmse(&a, &b).is_err());
-        assert!(rmse_matrices(&Matrix::zeros(1, 1), &Matrix::zeros(2, 1)).is_err());
     }
 
     #[test]

@@ -46,11 +46,6 @@ impl AdditiveRandomizer {
         })
     }
 
-    /// Builds a randomizer directly from a [`NoiseModel`].
-    pub fn from_model(model: NoiseModel) -> Self {
-        AdditiveRandomizer { model }
-    }
-
     /// The public noise model (what an adversary is assumed to know).
     pub fn model(&self) -> &NoiseModel {
         &self.model
@@ -334,9 +329,9 @@ mod tests {
     }
 
     #[test]
-    fn model_accessor_and_from_model() {
+    fn model_accessor() {
         let model = NoiseModel::independent_gaussian(2.0).unwrap();
-        let r = AdditiveRandomizer::from_model(model.clone());
+        let r = AdditiveRandomizer::gaussian(2.0).unwrap();
         assert_eq!(r.model(), &model);
     }
 
@@ -423,6 +418,37 @@ mod tests {
                 .unwrap();
             assert_ne!(bits(&raw), bits(&sweep[0]));
         }
+    }
+
+    #[test]
+    fn disguised_skip_keeps_later_chunks_identical_to_the_full_sweep() {
+        let ds = dataset(200, 29);
+        let randomizer = AdditiveRandomizer::uniform(1.5).unwrap();
+        let source = TableChunkSource::new(&ds.table, 48).unwrap();
+        let mut disguised = DisguisedChunkSource::new(source, randomizer, 41);
+        let mut sweep = Vec::new();
+        while let Some(chunk) = disguised.next_chunk().unwrap() {
+            sweep.push(chunk);
+        }
+        assert_eq!(sweep.len(), 5);
+        disguised.reset().unwrap();
+        disguised.skip_chunks(2).unwrap();
+        for expected in &sweep[2..] {
+            let chunk = disguised.next_chunk().unwrap().unwrap();
+            assert!(chunk.approx_eq(expected, 0.0));
+        }
+        assert!(disguised.next_chunk().unwrap().is_none());
+        assert_eq!(disguised.inner().n_records_hint(), Some(200));
+    }
+
+    #[test]
+    fn indefinite_correlated_covariance_is_rejected_when_sampling() {
+        // Symmetric, so the model accepts it, but not positive definite.
+        let cov = Matrix::from_rows(&[&[1.0, 2.0][..], &[2.0, 1.0][..]]).unwrap();
+        let r = AdditiveRandomizer::correlated(cov).unwrap();
+        assert!(r.sample_noise(10, 2, &mut seeded_rng(1)).is_err());
+        let table = DataTable::from_matrix(Matrix::zeros(10, 2)).unwrap();
+        assert!(r.disguise(&table, &mut seeded_rng(1)).is_err());
     }
 
     #[test]

@@ -135,23 +135,6 @@ pub fn noise_covariance(eigenvectors: &Matrix, noise_spectrum: &[f64]) -> Result
     Ok(recompose(noise_spectrum, eigenvectors))
 }
 
-/// The simplest "similar" noise: a scaled copy of the data covariance,
-/// `Σ_r = ratio · Σ_x`. With `ratio = σ²·m / trace(Σ_x)` the total noise power
-/// matches an independent scheme with standard deviation σ.
-pub fn scaled_data_covariance(data_covariance: &Matrix, ratio: f64) -> Result<Matrix> {
-    if !(ratio > 0.0 && ratio.is_finite()) {
-        return Err(NoiseError::InvalidParameter {
-            reason: format!("scale ratio must be positive, got {ratio}"),
-        });
-    }
-    if !data_covariance.is_square() {
-        return Err(NoiseError::DimensionMismatch {
-            reason: "data covariance must be square".to_string(),
-        });
-    }
-    Ok(data_covariance.scale(ratio))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,6 +187,34 @@ mod tests {
     }
 
     #[test]
+    fn independent_level_is_isotropic_in_any_basis() {
+        // A flat spectrum recomposed in any orthonormal basis is σ² I: the
+        // original i.i.d. scheme.
+        let data = vec![50.0, 20.0, 5.0, 1.0];
+        let flat = interpolated_spectrum(&data, SimilarityLevel::independent(), 12.0).unwrap();
+        for seed in [1, 2, 3] {
+            let q = random_orthogonal(4, &mut seeded_rng(seed)).unwrap();
+            let cov = noise_covariance(&q, &flat).unwrap();
+            assert!(cov.approx_eq(&Matrix::identity(4).scale(3.0), 1e-12));
+        }
+    }
+
+    #[test]
+    fn noise_covariance_has_the_spectrum_along_the_basis() {
+        // Σ_r q_j = λ_j q_j for every basis column q_j.
+        let q = random_orthogonal(5, &mut seeded_rng(8)).unwrap();
+        let spectrum = [9.0, 4.0, 2.0, 1.0, 0.5];
+        let cov = noise_covariance(&q, &spectrum).unwrap();
+        for (j, &lambda) in spectrum.iter().enumerate() {
+            let qj = q.column(j);
+            let image = cov.matvec(&qj).unwrap();
+            for (got, want) in image.iter().zip(&qj) {
+                assert!((got - lambda * want).abs() < 1e-12, "column {j}");
+            }
+        }
+    }
+
+    #[test]
     fn noise_covariance_has_requested_trace_and_symmetry() {
         let spectrum = EigenSpectrum::principal_plus_small(2, 100.0, 6, 1.0).unwrap();
         let mut rng = seeded_rng(4);
@@ -217,15 +228,5 @@ mod tests {
         // Dimension mismatch rejected.
         assert!(noise_covariance(&q, &[1.0, 2.0]).is_err());
         assert!(noise_covariance(&q, &[0.0; 6]).is_err());
-    }
-
-    #[test]
-    fn scaled_data_covariance_scales() {
-        let cov = Matrix::from_rows(&[&[4.0, 1.0][..], &[1.0, 2.0][..]]).unwrap();
-        let scaled = scaled_data_covariance(&cov, 0.5).unwrap();
-        assert_eq!(scaled.get(0, 0), 2.0);
-        assert_eq!(scaled.get(0, 1), 0.5);
-        assert!(scaled_data_covariance(&cov, 0.0).is_err());
-        assert!(scaled_data_covariance(&Matrix::zeros(2, 3), 1.0).is_err());
     }
 }

@@ -84,8 +84,8 @@ mod tests {
         assert!(e.to_string().contains("sigma"));
         let e: NoiseError = StatsError::InsufficientData { got: 0, needed: 1 }.into();
         assert!(std::error::Error::source(&e).is_some());
-        let e: NoiseError = LinalgError::Singular { pivot: 1 }.into();
-        assert!(e.to_string().contains("singular"));
+        let e: NoiseError = LinalgError::NotSquare { shape: (2, 3) }.into();
+        assert!(e.to_string().contains("square"));
         let e: NoiseError = DataError::UnknownAttribute { name: "x".into() }.into();
         assert!(std::error::Error::source(&e).is_some());
     }

@@ -13,9 +13,6 @@
 //! * [`correlated`] — helpers for building the correlated-noise covariance
 //!   from a data set's eigenbasis at a chosen similarity level, exactly as
 //!   Experiment 4 does.
-//! * [`randomized_response`] — Warner's randomized-response scheme for binary
-//!   attributes (related-work extension; it is the categorical counterpart the
-//!   paper cites for MASK and privacy-preserving decision trees).
 //!
 //! ## Example
 //!
@@ -38,7 +35,6 @@ pub mod additive;
 pub mod correlated;
 pub mod error;
 pub mod model;
-pub mod randomized_response;
 
 pub use additive::AdditiveRandomizer;
 pub use error::{NoiseError, Result};

@@ -66,11 +66,6 @@ impl NoiseModel {
         Ok(NoiseModel::Correlated { covariance })
     }
 
-    /// True if the noise is independent across attributes.
-    pub fn is_independent(&self) -> bool {
-        !matches!(self, NoiseModel::Correlated { .. })
-    }
-
     /// Per-attribute noise variance when the noise is i.i.d. across attributes
     /// (`None` for the correlated model, whose variance varies per attribute).
     pub fn iid_variance(&self) -> Option<f64> {
@@ -163,12 +158,10 @@ mod tests {
     fn iid_variance_and_independence() {
         let g = NoiseModel::independent_gaussian(3.0).unwrap();
         assert_eq!(g.iid_variance(), Some(9.0));
-        assert!(g.is_independent());
         let u = NoiseModel::independent_uniform(2.0).unwrap();
         assert_eq!(u.iid_variance(), Some(4.0));
         let c = NoiseModel::correlated(Matrix::identity(2)).unwrap();
         assert_eq!(c.iid_variance(), None);
-        assert!(!c.is_independent());
     }
 
     #[test]
@@ -183,6 +176,26 @@ mod tests {
         let c = NoiseModel::correlated(sr.clone()).unwrap();
         assert_eq!(c.covariance(2).unwrap(), sr);
         assert!(c.covariance(3).is_err());
+    }
+
+    #[test]
+    fn marginal_variance_is_the_covariance_diagonal() {
+        let sr = Matrix::from_rows(&[
+            &[2.0, 0.5, 0.0][..],
+            &[0.5, 1.0, 0.3][..],
+            &[0.0, 0.3, 4.0][..],
+        ])
+        .unwrap();
+        for model in [
+            NoiseModel::independent_gaussian(1.5).unwrap(),
+            NoiseModel::independent_uniform(0.5).unwrap(),
+            NoiseModel::correlated(sr).unwrap(),
+        ] {
+            let cov = model.covariance(3).unwrap();
+            for j in 0..3 {
+                assert_eq!(model.marginal_variance(j, 3).unwrap(), cov.get(j, j));
+            }
+        }
     }
 
     #[test]

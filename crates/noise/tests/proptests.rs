@@ -6,7 +6,6 @@ use randrecon_data::DataTable;
 use randrecon_linalg::Matrix;
 use randrecon_noise::additive::AdditiveRandomizer;
 use randrecon_noise::correlated::{interpolated_spectrum, SimilarityLevel};
-use randrecon_noise::randomized_response::RandomizedResponse;
 use randrecon_noise::NoiseModel;
 use randrecon_stats::rng::seeded_rng;
 use randrecon_stats::summary;
@@ -72,6 +71,25 @@ proptest! {
         prop_assert!((sum - total).abs() < 1e-9 * total);
     }
 
+    /// Between the flat spectrum (`alpha = 0`) and either end (`±1`) the
+    /// interpolated spectrum moves linearly in `|alpha|`.
+    #[test]
+    fn interpolated_spectrum_is_linear_in_alpha(
+        alpha in -1.0f64..1.0,
+        total in 1.0f64..500.0,
+        m in 2usize..20,
+    ) {
+        let spectrum = EigenSpectrum::principal_plus_small((m / 2).max(1), 100.0, m, 1.0).unwrap();
+        let at = |level| interpolated_spectrum(spectrum.values(), level, total).unwrap();
+        let flat = at(SimilarityLevel::independent());
+        let end = at(if alpha >= 0.0 { SimilarityLevel::similar() } else { SimilarityLevel::anti_similar() });
+        let mid = at(SimilarityLevel::new(alpha).unwrap());
+        let w = alpha.abs();
+        for ((&got, &f), &e) in mid.iter().zip(&flat).zip(&end) {
+            prop_assert!((got - (w * e + (1.0 - w) * f)).abs() < 1e-9 * total);
+        }
+    }
+
     /// The noise covariance reported by the model always matches the noise the
     /// randomizer actually adds (Theorem 5.1 / 8.2 both rely on this).
     #[test]
@@ -84,16 +102,6 @@ proptest! {
         let declared = randomizer.model().covariance(4).unwrap();
         let rel = empirical.sub(&declared).unwrap().frobenius_norm() / declared.frobenius_norm();
         prop_assert!(rel < 0.25, "relative covariance error {rel}");
-    }
-
-    /// Randomized response: the proportion estimator inverts the expected
-    /// observation for every truth probability and true proportion.
-    #[test]
-    fn randomized_response_estimator_inverts(p in 0.51f64..0.99, pi in 0.0f64..1.0) {
-        let rr = RandomizedResponse::new(p).unwrap();
-        let observed = p * pi + (1.0 - p) * (1.0 - pi);
-        let est = rr.estimate_proportion(observed).unwrap();
-        prop_assert!((est - pi).abs() < 1e-9);
     }
 
     /// The noise model constructors reject invalid parameters for every input.

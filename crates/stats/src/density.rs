@@ -169,24 +169,6 @@ impl GaussianKde {
         })
     }
 
-    /// Builds a KDE with an explicit (positive) bandwidth.
-    pub fn with_bandwidth(samples: &[f64], bandwidth: f64) -> Result<Self> {
-        if samples.is_empty() {
-            return Err(StatsError::InsufficientData { got: 0, needed: 1 });
-        }
-        if !(bandwidth > 0.0 && bandwidth.is_finite()) {
-            return Err(StatsError::InvalidParameter {
-                name: "bandwidth",
-                value: bandwidth,
-                requirement: "positive and finite",
-            });
-        }
-        Ok(GaussianKde {
-            samples: samples.to_vec(),
-            bandwidth,
-        })
-    }
-
     /// Bandwidth in use.
     pub fn bandwidth(&self) -> f64 {
         self.bandwidth
@@ -261,6 +243,46 @@ mod tests {
     }
 
     #[test]
+    fn kde_bandwidth_follows_silvermans_rule() {
+        let samples = [1.0, 2.0, 3.0, 4.0, 5.0];
+        let kde = GaussianKde::from_samples(&samples).unwrap();
+        let want = 1.06 * 2.5_f64.sqrt() * 5.0_f64.powf(-0.2);
+        assert!((kde.bandwidth() - want).abs() < 1e-12);
+        // Constant data keeps a positive (floored) bandwidth and a finite pdf.
+        let flat = GaussianKde::from_samples(&[4.0; 8]).unwrap();
+        assert!(flat.bandwidth() > 0.0);
+        assert!(flat.pdf(4.0).is_finite());
+    }
+
+    #[test]
+    fn kde_is_the_average_of_gaussian_kernels() {
+        let samples = [-1.0, 0.5, 0.5, 3.0];
+        let kde = GaussianKde::from_samples(&samples).unwrap();
+        let h = kde.bandwidth();
+        for x in [-2.0, 0.0, 0.5, 1.7, 6.0] {
+            let want = samples
+                .iter()
+                .map(|&s| Normal::new(s, h).unwrap().pdf(x))
+                .sum::<f64>()
+                / samples.len() as f64;
+            assert!((kde.pdf(x) - want).abs() < 1e-14, "x = {x}");
+        }
+    }
+
+    #[test]
+    fn kde_pdf_integrates_to_one() {
+        let samples = [-3.0, -1.0, 0.0, 0.2, 4.0];
+        let kde = GaussianKde::from_samples(&samples).unwrap();
+        let h = kde.bandwidth();
+        // Trapezoid rule over the samples' range widened by 12 bandwidths.
+        let (a, b, steps) = (-3.0 - 12.0 * h, 4.0 + 12.0 * h, 10_000);
+        let step = (b - a) / steps as f64;
+        let interior: f64 = (1..steps).map(|i| kde.pdf(a + i as f64 * step)).sum();
+        let integral = (0.5 * (kde.pdf(a) + kde.pdf(b)) + interior) * step;
+        assert!((integral - 1.0).abs() < 1e-9, "integral = {integral}");
+    }
+
+    #[test]
     fn kde_approximates_normal_density() {
         let normal = Normal::standard();
         let mut rng = seeded_rng(17);
@@ -270,14 +292,6 @@ mod tests {
         assert!((kde.pdf(1.0) - normal.pdf(1.0)).abs() < 0.05);
         assert!(kde.pdf(8.0) < 0.01);
         assert!(kde.bandwidth() > 0.0);
-    }
-
-    #[test]
-    fn kde_with_explicit_bandwidth() {
-        let kde = GaussianKde::with_bandwidth(&[0.0, 1.0], 0.5).unwrap();
-        assert_eq!(kde.bandwidth(), 0.5);
-        assert!(GaussianKde::with_bandwidth(&[], 0.5).is_err());
-        assert!(GaussianKde::with_bandwidth(&[0.0], -1.0).is_err());
         assert!(GaussianKde::from_samples(&[0.0]).is_err());
     }
 }

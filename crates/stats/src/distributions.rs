@@ -218,6 +218,36 @@ mod tests {
         assert!((n.cdf(-1.96) - 0.025).abs() < 1e-3);
     }
 
+    /// Composite trapezoid rule for `f` over `[a, b]` in `steps` intervals.
+    fn trapezoid(f: impl Fn(f64) -> f64, a: f64, b: f64, steps: usize) -> f64 {
+        let h = (b - a) / steps as f64;
+        let interior: f64 = (1..steps).map(|i| f(a + i as f64 * h)).sum();
+        (0.5 * (f(a) + f(b)) + interior) * h
+    }
+
+    #[test]
+    fn normal_pdf_integrates_to_one() {
+        // μ ± 10σ leaves ~1e-23 of mass outside.
+        let n = Normal::new(3.0, 2.0).unwrap();
+        let integral = trapezoid(|x| n.pdf(x), 3.0 - 20.0, 3.0 + 20.0, 8_000);
+        assert!((integral - 1.0).abs() < 1e-9, "integral = {integral}");
+    }
+
+    #[test]
+    fn normal_cdf_differences_are_integrals_of_the_pdf() {
+        // Tolerance covers the A&S erf error (≤ 1.5e-7 per CDF value) and
+        // the trapezoid error (≲ 5e-8 at this step count).
+        let n = Normal::new(-1.0, 0.5).unwrap();
+        for (lo, hi) in [(-2.0, -1.0), (-1.3, 0.4), (-0.9, -0.2), (-4.0, 2.0)] {
+            let integral = trapezoid(|x| n.pdf(x), lo, hi, 4_000);
+            let by_cdf = n.cdf(hi) - n.cdf(lo);
+            assert!(
+                (integral - by_cdf).abs() < 1e-6,
+                "[{lo}, {hi}]: {integral} vs {by_cdf}"
+            );
+        }
+    }
+
     #[test]
     fn normal_rejects_bad_params() {
         assert!(Normal::new(0.0, 0.0).is_err());

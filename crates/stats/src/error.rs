@@ -107,7 +107,7 @@ mod tests {
 
     #[test]
     fn from_linalg_error_preserves_source() {
-        let inner = LinalgError::Singular { pivot: 0 };
+        let inner = LinalgError::Empty { op: "solve" };
         let e: StatsError = inner.clone().into();
         assert_eq!(e, StatsError::Linalg(inner));
         assert!(std::error::Error::source(&e).is_some());

@@ -2,9 +2,9 @@
 //!
 //! Statistics substrate for the `randrecon` workspace: univariate and
 //! multivariate distributions, summary statistics, density estimation, the
-//! Agrawal–Srikant distribution-reconstruction algorithm, and the numerical
-//! integration needed by the univariate Bayes reconstruction (UDR, Section 4.2
-//! of the SIGMOD 2005 paper).
+//! Agrawal–Srikant distribution-reconstruction algorithm, and the posterior
+//! means of the univariate Bayes reconstruction (UDR, Section 4.2 of the
+//! SIGMOD 2005 paper), whose grid quadrature carries its own trapezoid weights.
 //!
 //! The paper's experiments were run in Matlab (`mvnrnd`, `cov`, `corrcoef`);
 //! this crate provides the equivalent functionality on top of
@@ -30,7 +30,6 @@
 pub mod density;
 pub mod distributions;
 pub mod error;
-pub mod integrate;
 pub mod mvn;
 pub mod posterior;
 pub mod reconstruction;

@@ -280,6 +280,17 @@ mod tests {
     }
 
     #[test]
+    fn grid_posterior_weights_the_grid_ends_by_one_half() {
+        // Prior f(x) = 2x on [0, 1] and noise flat over the grid: the
+        // posterior mean is ∫x·2x dx / ∫2x dx = 2/3. The trapezoid rule
+        // integrates the denominator exactly and the numerator to within
+        // h²/3; unit end weights would be off by about h/2.
+        let noise = crate::distributions::Uniform::new(-10.0, 10.0).unwrap();
+        let est = grid_posterior_mean(0.0, |x| 2.0 * x, &noise, 0.0, 1.0, 1_001).unwrap();
+        assert!((est - 2.0 / 3.0).abs() < 1e-6, "est = {est}");
+    }
+
+    #[test]
     fn prepared_posterior_matches_the_underlying_kernels() {
         // Gaussian noise: exact agreement with the closed form.
         let prepared = PreparedPosterior::gaussian_moments(2.0, 9.0, 4.0, true).unwrap();

@@ -236,43 +236,6 @@ pub fn variance_vector(data: &Matrix) -> Vec<f64> {
     acc
 }
 
-/// Five-number-style summary of a slice, useful for reporting workloads.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: usize,
-    /// Minimum value.
-    pub min: f64,
-    /// Maximum value.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Unbiased sample standard deviation.
-    pub std_dev: f64,
-}
-
-/// Computes a [`Summary`] of a slice. Empty input yields zeros/NaN-free defaults.
-pub fn summarize(xs: &[f64]) -> Summary {
-    if xs.is_empty() {
-        return Summary {
-            count: 0,
-            min: 0.0,
-            max: 0.0,
-            mean: 0.0,
-            std_dev: 0.0,
-        };
-    }
-    let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    Summary {
-        count: xs.len(),
-        min,
-        max,
-        mean: mean(xs),
-        std_dev: std_dev(xs),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,15 +316,40 @@ mod tests {
     }
 
     #[test]
-    fn summarize_extremes() {
-        let s = summarize(&[3.0, -1.0, 4.0, 1.0]);
-        assert_eq!(s.count, 4);
-        assert_eq!(s.min, -1.0);
-        assert_eq!(s.max, 4.0);
-        assert!((s.mean - 1.75).abs() < 1e-12);
-        let empty = summarize(&[]);
-        assert_eq!(empty.count, 0);
-        assert_eq!(empty.min, 0.0);
+    fn variance_vector_matches_per_column_variance() {
+        let data = Matrix::from_fn(37, 4, |i, j| ((i * 7 + j * 3) % 11) as f64 - 0.5 * j as f64);
+        let v = variance_vector(&data);
+        for (j, got) in v.iter().enumerate() {
+            let want = variance(&data.column(j));
+            assert!((got - want).abs() < 1e-12, "column {j}: {got} vs {want}");
+        }
+        assert_eq!(variance_vector(&Matrix::zeros(1, 3)), vec![0.0; 3]);
+    }
+
+    #[test]
+    fn covariance_matrix_matches_pairwise_covariance_across_chunks() {
+        // 5 000 records span three 2 048-record chunks and a partial row
+        // block, so the chunked (and, on a multi-core pool, parallel) sweep
+        // is checked against the scalar definition.
+        let data = Matrix::from_fn(5_000, 3, |i, j| {
+            let t = i as f64 * 0.001;
+            match j {
+                0 => (t * 7.0).sin() * 10.0 + 3.0,
+                1 => t * t - 2.0 * t,
+                _ => ((i * 31) % 17) as f64,
+            }
+        });
+        let cov = covariance_matrix(&data);
+        for i in 0..3 {
+            for j in 0..3 {
+                let want = covariance(&data.column(i), &data.column(j));
+                let got = cov.get(i, j);
+                assert!(
+                    (got - want).abs() <= 1e-10 * want.abs().max(1.0),
+                    "({i}, {j}): {got} vs {want}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use randrecon_stats::distributions::{ContinuousDistribution, Normal, Uniform};
-use randrecon_stats::integrate::{simpson, trapezoid};
 use randrecon_stats::posterior::gaussian_posterior_mean;
 use randrecon_stats::rng::{child_seed, seeded_rng};
 use randrecon_stats::summary;
@@ -42,8 +41,29 @@ proptest! {
             prop_assert!(x >= low && x < low + width);
             prop_assert!(u.pdf(x) > 0.0);
         }
-        let integral = trapezoid(|x| u.pdf(x), low - 1.0, low + width + 1.0, 4_000);
+        // Composite trapezoid rule over [low − 1, high + 1] in 4 000 steps.
+        let (a, steps) = (low - 1.0, 4_000);
+        let h = (width + 2.0) / steps as f64;
+        let interior: f64 = (1..steps).map(|i| u.pdf(a + i as f64 * h)).sum();
+        let integral = (0.5 * (u.pdf(a) + u.pdf(a + width + 2.0)) + interior) * h;
         prop_assert!((integral - 1.0).abs() < 1e-2);
+    }
+
+    /// The trapezoid integral of the normal pdf over any interval matches
+    /// the CDF difference (within the erf approximation's error).
+    #[test]
+    fn normal_pdf_integrates_to_cdf_differences(
+        mu in -10.0f64..10.0,
+        sigma in 0.2f64..5.0,
+        a in -4.0f64..4.0,
+        width in 0.01f64..6.0,
+    ) {
+        let n = Normal::new(mu, sigma).unwrap();
+        let (lo, hi, steps) = (mu + a * sigma, mu + (a + width) * sigma, 4_000);
+        let h = (hi - lo) / steps as f64;
+        let interior: f64 = (1..steps).map(|i| n.pdf(lo + i as f64 * h)).sum();
+        let integral = (0.5 * (n.pdf(lo) + n.pdf(hi)) + interior) * h;
+        prop_assert!((integral - (n.cdf(hi) - n.cdf(lo))).abs() < 1e-6);
     }
 
     /// variance(c * x) = c^2 * variance(x); mean is linear.
@@ -109,15 +129,6 @@ proptest! {
         prop_assert!(est >= lo - 1e-9 && est <= hi + 1e-9);
         let est_less_noise = gaussian_posterior_mean(y, mu, var_x, var_r * 0.5).unwrap();
         prop_assert!((est_less_noise - y).abs() <= (est - y).abs() + 1e-9);
-    }
-
-    /// Simpson and trapezoid agree on smooth integrands.
-    #[test]
-    fn quadrature_rules_agree(a in -5.0f64..0.0, b in 0.5f64..5.0) {
-        let f = |x: f64| (x * 0.7).sin() + 0.3 * x * x;
-        let t = trapezoid(f, a, b, 4_000);
-        let s = simpson(f, a, b, 4_000);
-        prop_assert!((t - s).abs() < 1e-4 * (1.0 + s.abs()));
     }
 
     /// Child seeds derived from different streams never collide for small stream
