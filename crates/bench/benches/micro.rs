@@ -38,6 +38,11 @@
 //!   seed loops it replaced (`randrecon_bench::csv_read_chunk_seed` /
 //!   `csv_write_chunk_seed`): `csv_parse_seed/8192` vs `csv_parse/8192` and
 //!   `csv_format_seed/8192` vs `csv_format/8192` are the two codec ratios.
+//! * `posterior` — UDR's uniform-noise posterior mean over one attribute
+//!   of 20 000 disguised values (σx = 20, σr = 10): the prepared,
+//!   window-summed quadrature (`PreparedPosterior`, preparation included)
+//!   against the full 600-point `grid_posterior_mean` per value that it is
+//!   pinned to (`udr_uniform_reference/20000` vs `udr_uniform/20000`).
 //! * `scenario`, `journal`, `shard`, `supervise`, `moment_merge` — one
 //!   8-workload grid ([`seed_grid_specs`]) through the runner vs a
 //!   hand-rolled loop (≤5% overhead), journaled vs plain (≤5%), sharded in
@@ -68,7 +73,9 @@ use randrecon_experiments::scenario::{
 use randrecon_linalg::decomposition::{eigen_jacobi, Cholesky, SymmetricEigen};
 use randrecon_linalg::Matrix;
 use randrecon_noise::additive::{AdditiveRandomizer, DisguisedChunkSource};
+use randrecon_stats::distributions::{ContinuousDistribution, Normal, Uniform};
 use randrecon_stats::mvn::MultivariateNormal;
+use randrecon_stats::posterior::{grid_posterior_mean, PreparedPosterior};
 use randrecon_stats::rng::seeded_rng;
 use randrecon_stats::summary::covariance_matrix;
 use std::hint::black_box;
@@ -380,9 +387,6 @@ fn bench_pipeline_ring(c: &mut Criterion) {
     group.finish();
 }
 
-/// The 8-workload grid the runner, journal, shard, supervise and
-/// moment-merge groups share: 2 000 × 16 records on `engine`, one axis
-/// sweeping the *seed*, so every cell is its own workload group.
 /// Rows of the `csv` group's chunk: the streaming engine's default chunk.
 const CSV_ROWS: usize = 8192;
 
@@ -443,6 +447,68 @@ fn bench_csv(c: &mut Criterion) {
     group.finish();
 }
 
+/// Values of the `posterior` group's attribute.
+const POSTERIOR_VALUES: usize = 20_000;
+
+/// UDR's posterior mean under uniform noise for one attribute, σx = 20
+/// against σr = 10: the prepared quadrature (prepared once per run, as UDR
+/// prepares it once per attribute) against the per-value reference.
+fn bench_posterior(c: &mut Criterion) {
+    let mut group = c.benchmark_group("posterior");
+    group.sample_size(10);
+    let (mean_x, var_x, var_r): (f64, f64, f64) = (5.0, 400.0, 100.0);
+    let prior = Normal::new(mean_x, var_x.sqrt()).unwrap();
+    let noise = Uniform::centered_with_std(var_r.sqrt()).unwrap();
+    let mut rng = seeded_rng(POSTERIOR_VALUES as u64);
+    let values: Vec<f64> = (0..POSTERIOR_VALUES)
+        .map(|_| prior.sample(&mut rng) + noise.sample(&mut rng))
+        .collect();
+    let span = 6.0 * (var_x.sqrt() + var_r.sqrt());
+
+    group.bench_with_input(
+        BenchmarkId::new("udr_uniform", POSTERIOR_VALUES),
+        &values,
+        |b, values| {
+            b.iter(|| {
+                let posterior =
+                    PreparedPosterior::gaussian_moments(mean_x, var_x, var_r, false).unwrap();
+                let estimates: Vec<f64> = values
+                    .iter()
+                    .map(|&y| posterior.apply(y).unwrap())
+                    .collect();
+                black_box(estimates)
+            })
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new("udr_uniform_reference", POSTERIOR_VALUES),
+        &values,
+        |b, values| {
+            b.iter(|| {
+                let estimates: Vec<f64> = values
+                    .iter()
+                    .map(|&y| {
+                        grid_posterior_mean(
+                            y,
+                            |x| prior.pdf(x),
+                            &noise,
+                            mean_x - span,
+                            mean_x + span,
+                            600,
+                        )
+                        .unwrap()
+                    })
+                    .collect();
+                black_box(estimates)
+            })
+        },
+    );
+    group.finish();
+}
+
+/// The 8-workload grid the runner, journal, shard, supervise and
+/// moment-merge groups share: 2 000 × 16 records on `engine`, one axis
+/// sweeping the *seed*, so every cell is its own workload group.
 fn seed_grid_specs(engine: EngineSpec) -> Vec<ScenarioSpec> {
     let mut base = ScenarioSpec::synthetic_quick("bench", 2_000, 16, 2);
     base.engine = engine;
@@ -718,6 +784,7 @@ criterion_group!(
     bench_streaming,
     bench_pipeline_ring,
     bench_csv,
+    bench_posterior,
     bench_scenario_runner,
     bench_journal,
     bench_shard,

@@ -41,6 +41,18 @@ pub enum ReconError {
         /// The underlying failure.
         source: Box<ReconError>,
     },
+    /// A per-value failure located at its cell: UDR's posterior mean for one
+    /// disguised value.
+    AtValue {
+        /// 0-based attribute (column) index.
+        attribute: usize,
+        /// 0-based row: the record index of an in-memory table, or the row
+        /// within the chunk in a streaming pass, whose
+        /// [`ReconError::AtChunk`] wrapper names the chunk.
+        row: usize,
+        /// The underlying failure.
+        source: StatsError,
+    },
     /// The computation was cancelled cooperatively — a deadline expired or a
     /// caller tripped the [`randrecon_parallel::CancelToken`] threaded
     /// through the streaming driver. Checked once per chunk, so a runaway
@@ -83,6 +95,11 @@ impl fmt::Display for ReconError {
             ReconError::AtChunk { chunk, source } => {
                 write!(f, "streaming pass failed at chunk {chunk}: {source}")
             }
+            ReconError::AtValue {
+                attribute,
+                row,
+                source,
+            } => write!(f, "attribute {attribute}, row {row}: {source}"),
             ReconError::Cancelled { reason } => write!(f, "cancelled: {reason}"),
             ReconError::Linalg(e) => write!(f, "linear algebra error: {e}"),
             ReconError::Stats(e) => write!(f, "statistics error: {e}"),
@@ -96,6 +113,7 @@ impl std::error::Error for ReconError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ReconError::AtChunk { source, .. } => Some(source.as_ref()),
+            ReconError::AtValue { source, .. } => Some(source),
             ReconError::Linalg(e) => Some(e),
             ReconError::Stats(e) => Some(e),
             ReconError::Data(e) => Some(e),
@@ -160,6 +178,13 @@ mod tests {
         assert!(e.to_string().contains("short read"));
         assert!(std::error::Error::source(&e).is_some());
         let e: ReconError = StatsError::InsufficientData { got: 0, needed: 2 }.into();
+        assert!(std::error::Error::source(&e).is_some());
+        let e = ReconError::AtValue {
+            attribute: 2,
+            row: 9,
+            source: StatsError::InsufficientData { got: 0, needed: 2 },
+        };
+        assert!(e.to_string().starts_with("attribute 2, row 9: "), "{e}");
         assert!(std::error::Error::source(&e).is_some());
         let e: ReconError = DataError::UnknownAttribute { name: "x".into() }.into();
         assert!(std::error::Error::source(&e).is_some());

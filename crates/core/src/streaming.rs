@@ -969,7 +969,9 @@ impl ChunkReconstructor for StreamingNdr {
 /// in-memory [`crate::udr::Udr`] estimates, read off the accumulated
 /// moments instead of materialized columns); pass 2 maps every value
 /// through its attribute's posterior mean. Gaussian noise takes the
-/// closed-form shrinkage, uniform noise the grid-quadrature path.
+/// closed-form shrinkage, uniform noise the grid-quadrature path. A value
+/// the posterior cannot answer fails as [`ReconError::AtValue`], naming its
+/// attribute and its row within the chunk.
 ///
 /// The Agrawal–Srikant prior is deliberately absent here: it needs the full
 /// empirical distribution of each attribute, not just moments, so it does
@@ -1001,9 +1003,17 @@ impl ChunkReconstructor for StreamingUdr {
         Ok(PreparedAttack::new(
             Matrix::from_diag(&prior_variances),
             move |mut chunk: Matrix| {
-                for i in 0..chunk.rows() {
-                    for (value, posterior) in chunk.row_mut(i).iter_mut().zip(&posteriors) {
-                        *value = posterior.apply(*value)?;
+                for row in 0..chunk.rows() {
+                    for (attribute, (value, posterior)) in
+                        chunk.row_mut(row).iter_mut().zip(&posteriors).enumerate()
+                    {
+                        *value = posterior
+                            .apply(*value)
+                            .map_err(|source| ReconError::AtValue {
+                                attribute,
+                                row,
+                                source,
+                            })?;
                     }
                 }
                 Ok(chunk)

@@ -10,7 +10,9 @@
 //!   attribute, with mean equal to the disguised mean and variance equal to the
 //!   disguised variance minus the noise variance (Theorem 5.1 applied to the
 //!   diagonal). With Gaussian noise the posterior mean then has a closed form;
-//!   with uniform noise it is evaluated by quadrature.
+//!   with uniform noise it is a 600-point quadrature whose grid and prior
+//!   weights are tabulated once per attribute, each value summing only the
+//!   grid points inside its noise window.
 //! * [`PriorEstimation::AgrawalSrikant`] — reconstruct `f_X` non-parametrically
 //!   with the Agrawal–Srikant iterative algorithm and evaluate the posterior
 //!   against the resulting histogram. Slower but makes no normality assumption.
@@ -63,9 +65,10 @@ impl Udr {
         }
     }
 
-    /// Reconstructs a single attribute.
+    /// Reconstructs attribute `attribute`, whose values are `column`.
     fn reconstruct_column(
         &self,
+        attribute: usize,
         column: &[f64],
         noise_variance: f64,
         gaussian_noise: bool,
@@ -77,15 +80,23 @@ impl Udr {
                 // Theorem 5.1 on the diagonal: var(X) ≈ var(Y) − σ²_r. Clamp at
                 // zero: a non-positive estimate means the attribute is pure
                 // noise, and the best guess is the mean. The prepared
-                // posterior (closed-form shrinkage for Gaussian noise, grid
-                // quadrature for uniform) is the same kernel the streaming
-                // UDR maps over chunks.
+                // posterior (closed-form shrinkage for Gaussian noise, a
+                // tabulated grid quadrature for uniform) is the same kernel
+                // the streaming UDR maps over chunks. A value it cannot
+                // answer fails located at its record.
                 let var_x = (summary::variance(column) - noise_variance).max(0.0);
                 let posterior =
                     PreparedPosterior::gaussian_moments(mu, var_x, noise_variance, gaussian_noise)?;
                 column
                     .iter()
-                    .map(|&y| posterior.apply(y).map_err(ReconError::from))
+                    .enumerate()
+                    .map(|(row, &y)| {
+                        posterior.apply(y).map_err(|source| ReconError::AtValue {
+                            attribute,
+                            row,
+                            source,
+                        })
+                    })
                     .collect()
             }
             PriorEstimation::AgrawalSrikant(config) => {
@@ -122,7 +133,8 @@ impl Reconstructor for Udr {
         for j in 0..m {
             let column = disguised.column(j);
             let noise_variance = noise.marginal_variance(j, m)?;
-            let reconstructed = self.reconstruct_column(&column, noise_variance, gaussian_noise)?;
+            let reconstructed =
+                self.reconstruct_column(j, &column, noise_variance, gaussian_noise)?;
             out.set_column(j, &reconstructed);
         }
         Ok(disguised.with_values(out)?)

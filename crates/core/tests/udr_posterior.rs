@@ -1,0 +1,202 @@
+//! UDR under uniform noise against its pinned reference.
+//!
+//! Both UDR engines answer each disguised value through
+//! `PreparedPosterior`, which sums the 600-point quadrature only inside the
+//! value's noise window. These tests pin the engines' output bit for bit to
+//! `grid_posterior_mean` evaluated value by value with each engine's own
+//! moment estimates, and check that a value with no posterior mass fails
+//! located at its attribute and record in both engines.
+
+use randrecon_core::streaming::{ChunkReconstructor, StreamingUdr, TableSink};
+use randrecon_core::udr::Udr;
+use randrecon_core::{ReconError, Reconstructor};
+use randrecon_data::chunks::TableChunkSource;
+use randrecon_data::synthetic::{EigenSpectrum, SyntheticDataset};
+use randrecon_data::DataTable;
+use randrecon_linalg::Matrix;
+use randrecon_noise::additive::AdditiveRandomizer;
+use randrecon_noise::NoiseModel;
+use randrecon_stats::distributions::{ContinuousDistribution, Normal, Uniform};
+use randrecon_stats::posterior::grid_posterior_mean;
+use randrecon_stats::rng::{seeded_rng, standard_normal};
+use randrecon_stats::{summary, StatsError};
+
+/// `E[X | Y = y]` by the full-grid reference, for a Gaussian prior with
+/// mean `mean_x` and variance `var_x` under uniform noise of variance
+/// `var_r`: the grid `PreparedPosterior::gaussian_moments` builds.
+fn reference(mean_x: f64, var_x: f64, var_r: f64, y: f64) -> f64 {
+    let prior = Normal::new(mean_x, var_x.sqrt()).unwrap();
+    let noise = Uniform::centered_with_std(var_r.sqrt()).unwrap();
+    let span = 6.0 * (var_x.sqrt() + var_r.sqrt());
+    grid_posterior_mean(
+        y,
+        |x| prior.pdf(x),
+        &noise,
+        mean_x - span,
+        mean_x + span,
+        600,
+    )
+    .unwrap()
+}
+
+/// Asserts that `got` is `disguised` mapped value by value through the
+/// reference with per-attribute prior means `means` and prior variances
+/// `prior_variances`.
+fn assert_reference(
+    got: &Matrix,
+    disguised: &DataTable,
+    noise: &NoiseModel,
+    means: &[f64],
+    prior_variances: &[f64],
+    what: &str,
+) {
+    let (n, m) = disguised.values().shape();
+    assert_eq!(got.shape(), (n, m), "{what}");
+    for j in 0..m {
+        let var_r = noise.marginal_variance(j, m).unwrap();
+        for i in 0..n {
+            let want = reference(
+                means[j],
+                prior_variances[j],
+                var_r,
+                disguised.values().get(i, j),
+            );
+            assert_eq!(
+                got.get(i, j).to_bits(),
+                want.to_bits(),
+                "{what}: record {i}, attribute {j}"
+            );
+        }
+    }
+}
+
+#[test]
+fn both_udr_engines_equal_the_grid_reference_bit_for_bit() {
+    let (n, m) = (4_500, 4);
+    let spectrum = EigenSpectrum::principal_plus_small(2, 300.0, m, 2.0).unwrap();
+    let ds = SyntheticDataset::generate(&spectrum, n, 2101).unwrap();
+    let randomizer = AdditiveRandomizer::uniform(8.0).unwrap();
+    let disguised = randomizer
+        .disguise(&ds.table, &mut seeded_rng(2102))
+        .unwrap();
+    let noise = randomizer.model();
+
+    let in_memory = Udr::gaussian_prior()
+        .reconstruct(&disguised, noise)
+        .unwrap();
+    let (means, prior_variances): (Vec<f64>, Vec<f64>) = (0..m)
+        .map(|j| {
+            let column = disguised.column(j);
+            let var_r = noise.marginal_variance(j, m).unwrap();
+            (
+                summary::mean(&column),
+                (summary::variance(&column) - var_r).max(0.0),
+            )
+        })
+        .unzip();
+    assert_reference(
+        in_memory.values(),
+        &disguised,
+        noise,
+        &means,
+        &prior_variances,
+        "in-memory UDR",
+    );
+
+    for chunk in [7, 2_048] {
+        let mut source = TableChunkSource::new(&disguised, chunk).unwrap();
+        let mut sink = TableSink::new(m);
+        let report = StreamingUdr.run(&mut source, noise, &mut sink).unwrap();
+        let prior_variances: Vec<f64> = (0..m)
+            .map(|j| report.estimated_covariance.get(j, j))
+            .collect();
+        assert_reference(
+            &sink.into_matrix().unwrap(),
+            &disguised,
+            noise,
+            &report.estimated_mean,
+            &prior_variances,
+            &format!("streaming UDR, chunk {chunk}"),
+        );
+    }
+}
+
+/// A 1 000 × 2 table disguised with uniform noise of σ = 1, where one
+/// outlier (1e4 at record 500 of attribute 1) lifts σ̂x of attribute 1 to
+/// about 316. The quadrature spacing (≈ 6.35) then exceeds the noise
+/// window (2√3 ≈ 3.46), and ordinary values fall between grid points.
+fn outlier_table() -> (DataTable, AdditiveRandomizer) {
+    let mut rng = seeded_rng(2201);
+    let mut values = Matrix::from_fn(1_000, 2, |_, _| standard_normal(&mut rng));
+    values.set(500, 1, 1e4);
+    let randomizer = AdditiveRandomizer::uniform(1.0).unwrap();
+    let disguised = randomizer
+        .disguise(
+            &DataTable::from_matrix(values).unwrap(),
+            &mut seeded_rng(2202),
+        )
+        .unwrap();
+    (disguised, randomizer)
+}
+
+/// Checks a located zero-mass failure of attribute 1 at `record` of
+/// `disguised`, and that its message names attribute, row and cause.
+fn assert_zero_mass_at(err: &ReconError, disguised: &DataTable, record: usize, row: usize) {
+    let ReconError::AtValue {
+        attribute,
+        row: got_row,
+        source,
+    } = err
+    else {
+        panic!("expected a located value failure, got {err:?}");
+    };
+    assert_eq!((*attribute, *got_row), (1, row), "{err}");
+    let StatsError::ZeroPosteriorMass {
+        value,
+        spacing,
+        noise_window: Some(window),
+        ..
+    } = source
+    else {
+        panic!("expected zero posterior mass, got {source:?}");
+    };
+    assert_eq!(*value, disguised.values().get(record, 1));
+    assert!(window < spacing, "window {window} vs spacing {spacing}");
+    let message = err.to_string();
+    assert!(
+        message.contains(&format!("attribute 1, row {row}:")),
+        "{message}"
+    );
+    assert!(message.contains(&format!("value {value}")), "{message}");
+    assert!(
+        message.contains("narrower than the grid spacing"),
+        "{message}"
+    );
+}
+
+#[test]
+fn a_value_without_posterior_mass_fails_located_in_both_engines() {
+    let (disguised, randomizer) = outlier_table();
+    let noise = randomizer.model();
+
+    let err = Udr::gaussian_prior()
+        .reconstruct(&disguised, noise)
+        .unwrap_err();
+    let ReconError::AtValue { row: record, .. } = err else {
+        panic!("expected a located value failure, got {err:?}");
+    };
+    assert_zero_mass_at(&err, &disguised, record, record);
+
+    let chunk_rows = 128;
+    let mut source = TableChunkSource::new(&disguised, chunk_rows).unwrap();
+    let mut sink = TableSink::new(2);
+    let err = StreamingUdr.run(&mut source, noise, &mut sink).unwrap_err();
+    let ReconError::AtChunk { chunk, source } = &err else {
+        panic!("expected a chunk-located failure, got {err:?}");
+    };
+    let ReconError::AtValue { row, .. } = source.as_ref() else {
+        panic!("expected a located value failure, got {source:?}");
+    };
+    assert_zero_mass_at(source, &disguised, chunk * chunk_rows + row, *row);
+    assert!(err.to_string().contains(&format!("chunk {chunk}")), "{err}");
+}

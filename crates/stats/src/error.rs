@@ -32,12 +32,20 @@ pub enum StatsError {
     },
     /// An underlying linear-algebra operation failed.
     Linalg(LinalgError),
-    /// A numerical routine failed to converge.
-    DidNotConverge {
-        /// Which routine.
-        what: &'static str,
-        /// How many iterations were run.
-        iterations: usize,
+    /// A posterior mean found no posterior mass on its quadrature grid: no
+    /// grid point inside the noise window carries a prior weight above
+    /// underflow, or none falls inside the window at all.
+    ZeroPosteriorMass {
+        /// The disguised value whose posterior was asked for.
+        value: f64,
+        /// Lower end of the grid.
+        low: f64,
+        /// Upper end of the grid.
+        high: f64,
+        /// Distance between neighbouring grid points.
+        spacing: f64,
+        /// Width of the noise density's support, when it is bounded.
+        noise_window: Option<f64>,
     },
 }
 
@@ -62,8 +70,26 @@ impl fmt::Display for StatsError {
                 write!(f, "dimension mismatch: {context}")
             }
             StatsError::Linalg(e) => write!(f, "linear algebra error: {e}"),
-            StatsError::DidNotConverge { what, iterations } => {
-                write!(f, "{what} did not converge after {iterations} iterations")
+            StatsError::ZeroPosteriorMass {
+                value,
+                low,
+                high,
+                spacing,
+                noise_window,
+            } => {
+                write!(
+                    f,
+                    "zero posterior mass for value {value} on the quadrature grid \
+                     [{low}, {high}] with spacing {spacing}"
+                )?;
+                match noise_window {
+                    Some(window) if window < spacing => write!(
+                        f,
+                        "; the noise window (width {window}) is narrower than the grid \
+                         spacing, so a value can fall between grid points"
+                    ),
+                    _ => Ok(()),
+                }
             }
         }
     }
@@ -98,11 +124,28 @@ mod tests {
         assert!(e.to_string().contains("sigma"));
         let e = StatsError::InsufficientData { got: 1, needed: 2 };
         assert!(e.to_string().contains("1 samples"));
-        let e = StatsError::DidNotConverge {
-            what: "EM",
-            iterations: 5,
+        let e = StatsError::ZeroPosteriorMass {
+            value: 2.5,
+            low: -1.0,
+            high: 1.0,
+            spacing: 0.5,
+            noise_window: Some(0.25),
         };
-        assert!(e.to_string().contains("EM"));
+        let message = e.to_string();
+        assert!(message.contains("value 2.5"), "{message}");
+        assert!(message.contains("[-1, 1] with spacing 0.5"), "{message}");
+        assert!(
+            message.contains("narrower than the grid spacing"),
+            "{message}"
+        );
+        let e = StatsError::ZeroPosteriorMass {
+            value: 2.5,
+            low: -1.0,
+            high: 1.0,
+            spacing: 0.5,
+            noise_window: Some(1.0),
+        };
+        assert!(!e.to_string().contains("narrower"));
     }
 
     #[test]

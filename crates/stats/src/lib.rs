@@ -4,7 +4,9 @@
 //! multivariate distributions, summary statistics, density estimation, the
 //! Agrawal–Srikant distribution-reconstruction algorithm, and the posterior
 //! means of the univariate Bayes reconstruction (UDR, Section 4.2 of the
-//! SIGMOD 2005 paper), whose grid quadrature carries its own trapezoid weights.
+//! SIGMOD 2005 paper). Under uniform noise UDR's trapezoid quadrature is
+//! tabulated once per attribute and summed only inside each value's noise
+//! window, bit for bit equal to the full-grid reference.
 //!
 //! The paper's experiments were run in Matlab (`mvnrnd`, `cov`, `corrcoef`);
 //! this crate provides the equivalent functionality on top of

@@ -10,6 +10,9 @@
 //! This module evaluates that expectation in two ways: a closed form when both
 //! the prior and the noise are Gaussian, and a grid quadrature against an
 //! arbitrary prior density (e.g. the Agrawal–Srikant reconstructed histogram).
+//! [`PreparedPosterior`] is what UDR runs: under uniform noise it sums the
+//! quadrature only over the grid points inside the noise window, bit for bit
+//! equal to [`grid_posterior_mean`], which stays as the pinned reference.
 
 use crate::density::HistogramDensity;
 use crate::distributions::{ContinuousDistribution, Normal, Uniform};
@@ -78,13 +81,7 @@ where
     D: ContinuousDistribution,
     F: Fn(f64) -> f64,
 {
-    if high.is_nan() || low.is_nan() || high <= low || grid_points < 2 {
-        return Err(StatsError::InvalidParameter {
-            name: "grid",
-            value: grid_points as f64,
-            requirement: "high > low and at least 2 grid points",
-        });
-    }
+    check_grid(low, high, grid_points)?;
     let h = (high - low) / (grid_points - 1) as f64;
     let mut num = 0.0;
     let mut den = 0.0;
@@ -101,12 +98,130 @@ where
         den += w;
     }
     if den <= f64::MIN_POSITIVE {
-        return Err(StatsError::DidNotConverge {
-            what: "grid posterior mean (zero posterior mass on the grid)",
-            iterations: grid_points,
+        return Err(StatsError::ZeroPosteriorMass {
+            value: y,
+            low,
+            high,
+            spacing: h,
+            noise_window: None,
         });
     }
     Ok(num / den)
+}
+
+/// Rejects a grid [`grid_posterior_mean`] cannot integrate on.
+fn check_grid(low: f64, high: f64, grid_points: usize) -> Result<()> {
+    if high.is_nan() || low.is_nan() || high <= low || grid_points < 2 {
+        return Err(StatsError::InvalidParameter {
+            name: "grid",
+            value: grid_points as f64,
+            requirement: "high > low and at least 2 grid points",
+        });
+    }
+    Ok(())
+}
+
+/// Points of the UDR quadrature grid, spread over ±6 combined standard
+/// deviations: the tolerance-pinned configuration.
+const UDR_GRID_POINTS: usize = 600;
+
+/// [`grid_posterior_mean`] for a fixed prior under uniform noise, with the
+/// per-value work cut to the noise window.
+///
+/// Preparation tabulates the grid once: the abscissae `x_i = low + i·h`
+/// and the prior weights `w_trap,i · prior.pdf(x_i)`, which is the product
+/// the reference forms first (its `w_trap * prior_pdf(x) * noise.pdf(y − x)`
+/// evaluates left to right). The uniform density is nonzero only where
+/// `lo ≤ y − x_i < hi`, and because `y − x_i` never rises with `i`, those
+/// points form one contiguous index window, found by two binary searches
+/// with [`Uniform::pdf`]'s own predicate. The window is then summed in
+/// ascending `i`, exactly as the reference sums it.
+///
+/// That sum is bit for bit the reference's. Every term the reference adds
+/// outside the window is a prior weight (finite, non-negative) times the
+/// density 0, so its `w` is +0 and its `x · w` ±0. Both sums start at +0
+/// and, rounding to nearest, never become −0, so adding ±0 leaves them as
+/// they are. A NaN or ±∞ value satisfies the predicate nowhere, so its
+/// window is empty and it fails with the reference's zero-mass error.
+#[derive(Debug, Clone)]
+pub struct UniformNoiseQuadrature {
+    /// Grid abscissae `x_i = low + i·h`.
+    abscissae: Vec<f64>,
+    /// Prior weights `w_trap,i · prior.pdf(x_i)`.
+    prior_weights: Vec<f64>,
+    /// The uniform noise; its support `[lo, hi)` is the window.
+    noise: Uniform,
+    /// The noise density inside its support, as [`Uniform::pdf`] gives it.
+    density: f64,
+    /// Lower integration bound.
+    low: f64,
+    /// Upper integration bound.
+    high: f64,
+}
+
+impl UniformNoiseQuadrature {
+    /// Tabulates the grid of `grid_points` points over `[low, high]` for
+    /// the prior `prior`.
+    fn new(prior: &Normal, noise: Uniform, low: f64, high: f64, grid_points: usize) -> Self {
+        let h = (high - low) / (grid_points - 1) as f64;
+        let abscissae: Vec<f64> = (0..grid_points).map(|i| low + i as f64 * h).collect();
+        let prior_weights = abscissae
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let w_trap = if i == 0 || i == grid_points - 1 {
+                    0.5
+                } else {
+                    1.0
+                };
+                w_trap * prior.pdf(x)
+            })
+            .collect();
+        UniformNoiseQuadrature {
+            abscissae,
+            prior_weights,
+            density: noise.pdf(noise.mean()),
+            noise,
+            low,
+            high,
+        }
+    }
+
+    /// `E[X | Y = y]`, equal bit for bit to [`grid_posterior_mean`] over
+    /// the same prior, noise and grid, errors included.
+    fn posterior_mean(&self, y: f64) -> Result<f64> {
+        // A grid that rounds to a point (`high <= low` at a huge mean)
+        // fails every value, as it does in the reference.
+        let grid_points = self.abscissae.len();
+        check_grid(self.low, self.high, grid_points)?;
+        let (lo, hi) = (self.noise.low(), self.noise.high());
+        // `Uniform::pdf` is nonzero where `lo <= y - x < hi`. Every `y - x`
+        // before `end` passes `>= lo`, so none is NaN and `>= hi` there is
+        // exactly "fails `< hi`".
+        let end = self.abscissae.partition_point(|&x| y - x >= lo);
+        let start = self.abscissae[..end].partition_point(|&x| y - x >= hi);
+        let window = start..end;
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for (&x, &prior_weight) in self.abscissae[window.clone()]
+            .iter()
+            .zip(&self.prior_weights[window])
+        {
+            let w = prior_weight * self.density;
+            num += x * w;
+            den += w;
+        }
+        if den <= f64::MIN_POSITIVE {
+            return Err(StatsError::ZeroPosteriorMass {
+                value: y,
+                low: self.low,
+                high: self.high,
+                spacing: (self.high - self.low) / (grid_points - 1) as f64,
+                noise_window: Some(hi - lo),
+            });
+        }
+        Ok(num / den)
+    }
 }
 
 /// A per-attribute posterior-mean estimator **prepared once** from moment
@@ -118,7 +233,9 @@ where
 /// mapped over record chunks independently — which is exactly what the
 /// streaming attack engine's "prepare once, map chunks" contract requires.
 /// The in-memory UDR builds the same object from column statistics, so both
-/// paths share one evaluation kernel.
+/// paths share one evaluation kernel. Preparation does everything that does
+/// not depend on the value: the shrinkage gain, or the quadrature grid and
+/// its prior weights.
 #[derive(Debug, Clone)]
 pub enum PreparedPosterior {
     /// Gaussian prior and Gaussian noise: the closed-form shrinkage
@@ -135,20 +252,11 @@ pub enum PreparedPosterior {
     /// Degenerate prior (the attribute is pure noise): always answer the
     /// prior mean.
     PriorMean(f64),
-    /// Gaussian prior with non-Gaussian (uniform) noise: grid quadrature of
-    /// the posterior via [`grid_posterior_mean`].
-    Quadrature {
-        /// The Gaussian prior density.
-        prior: Normal,
-        /// The uniform noise density.
-        noise: Uniform,
-        /// Lower integration bound.
-        low: f64,
-        /// Upper integration bound.
-        high: f64,
-        /// Number of quadrature points.
-        grid_points: usize,
-    },
+    /// Gaussian prior with non-Gaussian (uniform) noise: trapezoid
+    /// quadrature of the posterior on a tabulated grid, summed only inside
+    /// each value's noise window and bit-identical to
+    /// [`grid_posterior_mean`] (see [`UniformNoiseQuadrature`]).
+    Quadrature(UniformNoiseQuadrature),
 }
 
 impl PreparedPosterior {
@@ -158,8 +266,10 @@ impl PreparedPosterior {
     ///
     /// `gaussian_noise` selects the closed-form shrinkage path; otherwise
     /// the noise is treated as uniform with the same variance and the
-    /// posterior falls back to grid quadrature (600 points over ±6 combined
-    /// standard deviations, the tolerance-pinned UDR configuration).
+    /// posterior is a grid quadrature (600 points over ±6 combined standard
+    /// deviations, the tolerance-pinned UDR configuration) whose abscissae
+    /// and prior weights are tabulated here, once per attribute; `apply`
+    /// then sums only the grid points inside the value's noise window.
     pub fn gaussian_moments(
         mean_x: f64,
         var_x: f64,
@@ -180,13 +290,13 @@ impl PreparedPosterior {
             let prior = Normal::new(mean_x, var_x.sqrt())?;
             let noise = Uniform::centered_with_std(sigma_r)?;
             let span = 6.0 * (var_x.sqrt() + sigma_r);
-            Ok(PreparedPosterior::Quadrature {
-                prior,
+            Ok(PreparedPosterior::Quadrature(UniformNoiseQuadrature::new(
+                &prior,
                 noise,
-                low: mean_x - span,
-                high: mean_x + span,
-                grid_points: 600,
-            })
+                mean_x - span,
+                mean_x + span,
+                UDR_GRID_POINTS,
+            )))
         }
     }
 
@@ -198,13 +308,7 @@ impl PreparedPosterior {
             // per-value closed form.
             PreparedPosterior::GaussianShrinkage { mean, gain } => Ok(mean + gain * (y - mean)),
             PreparedPosterior::PriorMean(mean) => Ok(*mean),
-            PreparedPosterior::Quadrature {
-                prior,
-                noise,
-                low,
-                high,
-                grid_points,
-            } => grid_posterior_mean(y, |x| prior.pdf(x), noise, *low, *high, *grid_points),
+            PreparedPosterior::Quadrature(quadrature) => quadrature.posterior_mean(y),
         }
     }
 }
@@ -329,6 +433,86 @@ mod tests {
         assert!(grid_posterior_mean(0.0, |_| 1.0, &noise, 1.0, 0.0, 100).is_err());
         assert!(grid_posterior_mean(0.0, |_| 1.0, &noise, 0.0, 1.0, 1).is_err());
         // Zero prior everywhere -> error.
-        assert!(grid_posterior_mean(0.0, |_| 0.0, &noise, 0.0, 1.0, 100).is_err());
+        assert!(matches!(
+            grid_posterior_mean(0.0, |_| 0.0, &noise, 0.0, 1.0, 100),
+            Err(StatsError::ZeroPosteriorMass {
+                noise_window: None,
+                ..
+            })
+        ));
+    }
+
+    /// The reference [`PreparedPosterior::Quadrature`] is pinned against.
+    fn udr_reference(mean_x: f64, var_x: f64, var_r: f64, y: f64) -> Result<f64> {
+        let prior = Normal::new(mean_x, var_x.sqrt()).unwrap();
+        let noise = crate::distributions::Uniform::centered_with_std(var_r.sqrt()).unwrap();
+        let span = 6.0 * (var_x.sqrt() + var_r.sqrt());
+        grid_posterior_mean(
+            y,
+            |x| prior.pdf(x),
+            &noise,
+            mean_x - span,
+            mean_x + span,
+            600,
+        )
+    }
+
+    #[test]
+    fn non_finite_values_fail_with_zero_mass_like_the_reference() {
+        let prepared = PreparedPosterior::gaussian_moments(1.0, 4.0, 9.0, false).unwrap();
+        for y in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let got = prepared.apply(y);
+            assert!(
+                matches!(got, Err(StatsError::ZeroPosteriorMass { .. })),
+                "y = {y}: {got:?}"
+            );
+            assert!(
+                matches!(
+                    udr_reference(1.0, 4.0, 9.0, y),
+                    Err(StatsError::ZeroPosteriorMass { .. })
+                ),
+                "y = {y}"
+            );
+        }
+    }
+
+    #[test]
+    fn underflowing_prior_weights_name_the_value_and_the_grid() {
+        // σx = 1e-3 against σr = 10: the grid spacing (≈ 0.2) leaves every
+        // grid point at least 100 prior standard deviations from the mean,
+        // so every prior weight underflows to 0 and every value fails.
+        let prepared = PreparedPosterior::gaussian_moments(0.0, 1e-6, 100.0, false).unwrap();
+        let err = prepared.apply(0.5).unwrap_err();
+        let StatsError::ZeroPosteriorMass {
+            value,
+            low,
+            high,
+            spacing,
+            noise_window,
+        } = err
+        else {
+            panic!("expected zero posterior mass, got {err:?}");
+        };
+        assert_eq!(value, 0.5);
+        assert_eq!((low, high), (-6.0 * (1e-3 + 10.0), 6.0 * (1e-3 + 10.0)));
+        assert_eq!(spacing, (high - low) / 599.0);
+        assert_eq!(noise_window, Some(20.0 * 3.0f64.sqrt()));
+        let message = err.to_string();
+        assert!(message.contains("value 0.5"), "{message}");
+        assert!(message.contains(&format!("[{low}, {high}]")), "{message}");
+        assert!(!message.contains("narrower"), "{message}");
+        assert!(matches!(
+            udr_reference(0.0, 1e-6, 100.0, 0.5),
+            Err(StatsError::ZeroPosteriorMass { .. })
+        ));
+
+        // Ten times the prior variance puts the nearest grid points about
+        // 32 prior standard deviations out: small but representable weights.
+        let prepared = PreparedPosterior::gaussian_moments(0.0, 1e-5, 100.0, false).unwrap();
+        for y in [-5.0, 0.0, 5.0] {
+            let got = prepared.apply(y).unwrap();
+            assert_eq!(got, udr_reference(0.0, 1e-5, 100.0, y).unwrap(), "y = {y}");
+            assert!(got.abs() < 0.2, "y = {y}: {got}");
+        }
     }
 }

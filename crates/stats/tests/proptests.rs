@@ -2,9 +2,10 @@
 
 use proptest::prelude::*;
 use randrecon_stats::distributions::{ContinuousDistribution, Normal, Uniform};
-use randrecon_stats::posterior::gaussian_posterior_mean;
-use randrecon_stats::rng::{child_seed, seeded_rng};
+use randrecon_stats::posterior::{gaussian_posterior_mean, grid_posterior_mean, PreparedPosterior};
+use randrecon_stats::rng::{child_seed, seeded_rng, standard_normal};
 use randrecon_stats::summary;
+use randrecon_stats::StatsError;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -129,6 +130,67 @@ proptest! {
         prop_assert!(est >= lo - 1e-9 && est <= hi + 1e-9);
         let est_less_noise = gaussian_posterior_mean(y, mu, var_x, var_r * 0.5).unwrap();
         prop_assert!((est_less_noise - y).abs() <= (est - y).abs() + 1e-9);
+    }
+
+    /// UDR's prepared uniform-noise posterior, which sums only the grid
+    /// points inside each value's noise window, equals the full 600-point
+    /// `grid_posterior_mean` bit for bit, errors included. σx/σr spans six
+    /// decades, so the draws cover grids much coarser than the noise window
+    /// as well as windows holding over a quarter of the grid. The values are
+    /// disguised draws, the two window edges at a random grid point (and
+    /// their neighbours one ulp away), and values beyond the grid.
+    #[test]
+    fn prepared_uniform_posterior_is_the_grid_reference_bit_for_bit(
+        mu in -100.0f64..100.0,
+        log_sigma_r in -2.0f64..2.0,
+        log_ratio in -3.0f64..3.0,
+        edge in 0usize..600,
+        seed in 0u64..1_000_000,
+    ) {
+        let sigma_r = 10f64.powf(log_sigma_r);
+        let sigma_x = sigma_r * 10f64.powf(log_ratio);
+        let (var_x, var_r) = (sigma_x * sigma_x, sigma_r * sigma_r);
+        let prepared = PreparedPosterior::gaussian_moments(mu, var_x, var_r, false).unwrap();
+
+        let prior = Normal::new(mu, var_x.sqrt()).unwrap();
+        let noise = Uniform::centered_with_std(var_r.sqrt()).unwrap();
+        let span = 6.0 * (var_x.sqrt() + var_r.sqrt());
+        let (low, high) = (mu - span, mu + span);
+        let x_edge = low + edge as f64 * ((high - low) / 599.0);
+
+        let mut rng = seeded_rng(seed);
+        let mut values: Vec<f64> = (0..24)
+            .map(|_| mu + sigma_x * standard_normal(&mut rng) + noise.sample(&mut rng))
+            .collect();
+        for y in [x_edge + noise.low(), x_edge + noise.high()] {
+            values.extend([y.next_down(), y, y.next_up()]);
+        }
+        values.extend([low - noise.high(), high - noise.low(), high + 1.5 * span]);
+
+        for y in values {
+            let got = prepared.apply(y);
+            let want = grid_posterior_mean(y, |x| prior.pdf(x), &noise, low, high, 600);
+            match (&got, &want) {
+                (Ok(a), Ok(b)) => prop_assert!(
+                    a.to_bits() == b.to_bits(),
+                    "y = {y}: prepared {a:e} vs reference {b:e}"
+                ),
+                (Err(a), Err(b)) => {
+                    prop_assert!(
+                        std::mem::discriminant(a) == std::mem::discriminant(b),
+                        "y = {y}: {a:?} vs {b:?}"
+                    );
+                    if let (
+                        StatsError::ZeroPosteriorMass { value, spacing, .. },
+                        StatsError::ZeroPosteriorMass { value: v, spacing: s, .. },
+                    ) = (a, b)
+                    {
+                        prop_assert!(value.to_bits() == v.to_bits() && spacing == s);
+                    }
+                }
+                _ => prop_assert!(false, "y = {y}: prepared {got:?} vs reference {want:?}"),
+            }
+        }
     }
 
     /// Child seeds derived from different streams never collide for small stream

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Runs the `micro` benchmark harness and dumps every measurement to a JSON
-# file (default BENCH_11.json at the repo root) for the perf trajectory.
+# file (default BENCH_12.json at the repo root) for the perf trajectory.
 #
 # Usage: scripts/bench_to_json.sh [output.json]
 #
@@ -21,15 +21,17 @@
 # >=1.3x); and the `csv` codec ratios, the banded parser and formatter vs
 # the per-line and per-value seed loops on one 8192 x 64 chunk
 # (`csv_parse/8192` vs `csv_parse_seed/8192`, `csv_format/8192` vs
-# `csv_format_seed/8192`).
-# BENCH_1.json … BENCH_10.json are frozen records of earlier states of the
+# `csv_format_seed/8192`); and the `posterior` ratio, UDR's window-summed
+# uniform-noise posterior vs the full-grid reference over 20 000 values
+# (`udr_uniform/20000` vs `udr_uniform_reference/20000`, >=10x).
+# BENCH_1.json … BENCH_11.json are frozen records of earlier states of the
 # code; pass one of them as the argument only to regenerate history
 # deliberately.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_11.json}"
+out="${1:-BENCH_12.json}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
@@ -114,4 +116,8 @@ for step in ("parse", "format"):
     old = results.get(("csv", f"csv_{step}_seed/8192"))
     if new and old:
         print(f"csv {step} 8192x64 chunk: seed loop {old/1e6:.2f} ms -> banded codec {new/1e6:.2f} ms  ({old/new:.2f}x)")
+new = results.get(("posterior", "udr_uniform/20000"))
+old = results.get(("posterior", "udr_uniform_reference/20000"))
+if new and old:
+    print(f"udr uniform-noise posterior, 20000 values: full grid {old/1e6:.2f} ms -> noise window {new/1e6:.2f} ms  ({old/new:.2f}x, acceptance >=10x)")
 EOF
