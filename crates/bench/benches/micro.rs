@@ -43,6 +43,12 @@
 //!   window-summed quadrature (`PreparedPosterior`, preparation included)
 //!   against the full 600-point `grid_posterior_mean` per value that it is
 //!   pinned to (`udr_uniform_reference/20000` vs `udr_uniform/20000`).
+//! * `mvn` — one 8192 × 64 synthetic chunk drawn by
+//!   `MultivariateNormal::sample_matrix` (one buffer, ziggurat draws
+//!   transformed in place through `L`'s lower triangle) against the
+//!   two-buffer path it replaced (`randrecon_bench::mvn_sample_matrix_gebp_seed`:
+//!   fresh `Z`, then `Z · Lᵀ` on the blocked kernel into a second fresh
+//!   matrix): `mvn/sample_matrix_gebp_seed/8192` vs `mvn/sample_matrix/8192`.
 //! * `scenario`, `journal`, `shard`, `supervise`, `moment_merge` — one
 //!   8-workload grid ([`seed_grid_specs`]) through the runner vs a
 //!   hand-rolled loop (≤5% overhead), journaled vs plain (≤5%), sharded in
@@ -55,7 +61,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use randrecon_bench::{
     covariance_matrix_rowsweep_seed, csv_read_chunk_seed, csv_write_chunk_seed,
-    matmul_blocked_axpy_seed,
+    matmul_blocked_axpy_seed, mvn_sample_matrix_gebp_seed,
 };
 use randrecon_core::be_dr::BeDr;
 use randrecon_core::streaming::{
@@ -506,6 +512,30 @@ fn bench_posterior(c: &mut Criterion) {
     group.finish();
 }
 
+/// Rows of the `mvn` group's chunk: the streaming engine's default chunk.
+const MVN_ROWS: usize = 8192;
+
+/// One flagship-shaped synthetic chunk (64 attributes) drawn in place
+/// against the two-buffer seed path, from the same seed each iteration.
+fn bench_mvn(c: &mut Criterion) {
+    let mut group = c.benchmark_group("mvn");
+    group.sample_size(10);
+    let cov = workload(KERNEL_ATTRS).covariance;
+    let l_transpose = Cholesky::new(&cov).unwrap().l().transpose();
+    let mvn = MultivariateNormal::zero_mean(cov).unwrap();
+    group.bench_with_input(
+        BenchmarkId::new("sample_matrix", MVN_ROWS),
+        &MVN_ROWS,
+        |b, &n| b.iter(|| black_box(mvn.sample_matrix(n, &mut seeded_rng(29)))),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("sample_matrix_gebp_seed", MVN_ROWS),
+        &MVN_ROWS,
+        |b, &n| b.iter(|| black_box(mvn_sample_matrix_gebp_seed(&l_transpose, mvn.mean(), n, 29))),
+    );
+    group.finish();
+}
+
 /// The 8-workload grid the runner, journal, shard, supervise and
 /// moment-merge groups share: 2 000 × 16 records on `engine`, one axis
 /// sweeping the *seed*, so every cell is its own workload group.
@@ -785,6 +815,7 @@ criterion_group!(
     bench_pipeline_ring,
     bench_csv,
     bench_posterior,
+    bench_mvn,
     bench_scenario_runner,
     bench_journal,
     bench_shard,

@@ -4,15 +4,18 @@
 //! pre-optimization kernels that still back a carried bench ratio and pin
 //! bit-identity with their production successors: the per-row covariance
 //! sweep (≥1.3× for the blocked rank-update at m = 256), the axpy-sweep
-//! blocked matmul (≥1.5× for the register microkernel at 512²), and the
+//! blocked matmul (≥1.5× for the register microkernel at 512²), the
 //! per-line CSV reader and per-value `format!` writer that the banded CSV
-//! codec replaced (its bytes, bits and errors are pinned against them).
+//! codec replaced (its bytes, bits and errors are pinned against them), and
+//! the two-buffer MVN batch that the in-place triangular transform replaced
+//! (≥1.15× on one 8192 × 64 chunk, pinned bit for bit).
 //! The unblocked matmul and the Jacobi eigensolver references live in
 //! `randrecon-linalg` as `matmul_naive` and `eigen_jacobi`.
 
 use randrecon_data::csv::split_csv_fields;
 use randrecon_data::{DataError, Result};
 use randrecon_linalg::Matrix;
+use randrecon_stats::rng::{seeded_rng, standard_normal_fill};
 use std::io::{BufRead, Lines, Write};
 
 /// Pre-blocking rank-update covariance: the PR-1…PR-9 single-pass sweep —
@@ -110,6 +113,27 @@ pub fn matmul_blocked_axpy_seed(a: &Matrix, b: &Matrix) -> Matrix {
         }
     }
     Matrix::from_flat(m, n, c).expect("shape is consistent by construction")
+}
+
+/// The MVN batch `MultivariateNormal::sample_matrix` drew before the
+/// in-place triangular transform: a fresh `n × dim` matrix `Z` filled with
+/// ziggurat draws from `seeded_rng(seed)`, then `Z · Lᵀ` on the blocked
+/// `matmul` kernel into a second fresh matrix, against an `Lᵀ` formed once
+/// ahead of time, then the mean added. Bit-identical to
+/// `sample_matrix(n, &mut seeded_rng(seed))` on the same distribution.
+pub fn mvn_sample_matrix_gebp_seed(
+    l_transpose: &Matrix,
+    mean: &[f64],
+    n: usize,
+    seed: u64,
+) -> Matrix {
+    let mut z = Matrix::zeros(n, l_transpose.rows());
+    standard_normal_fill(z.as_mut_slice(), &mut seeded_rng(seed));
+    let mut out = z.matmul(l_transpose).expect("Z and Lᵀ shapes agree");
+    if mean.iter().any(|&m| m != 0.0) {
+        out.add_row_broadcast(mean).expect("mean length matches");
+    }
+    out
 }
 
 /// The per-line CSV record loop `CsvChunkReader::next_chunk` ran before
@@ -433,6 +457,26 @@ mod tests {
                     assert!(error.is_some(), "{bad} at line {}", at + 1);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn mvn_gebp_seed_is_bit_identical_to_in_place_sample_matrix() {
+        use randrecon_linalg::decomposition::Cholesky;
+        use randrecon_stats::mvn::MultivariateNormal;
+        // The bench's shape, one 8192 × 64 chunk, plus a short odd one.
+        for (n, m) in [(8192, 64), (13, 7)] {
+            let spectrum = EigenSpectrum::principal_plus_small(m / 10 + 1, 400.0, m, 4.0).unwrap();
+            let cov = SyntheticDataset::generate(&spectrum, 200, 3)
+                .unwrap()
+                .covariance;
+            let mean: Vec<f64> = (0..m).map(|j| j as f64 * 0.5).collect();
+            let l_t = Cholesky::new(&cov).unwrap().l().transpose();
+            let mvn = MultivariateNormal::new(mean.clone(), cov).unwrap();
+            let seed = mvn_sample_matrix_gebp_seed(&l_t, &mean, n, 17);
+            let production = mvn.sample_matrix(n, &mut seeded_rng(17));
+            let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&seed), bits(&production), "{n} x {m}");
         }
     }
 

@@ -36,8 +36,10 @@
 //! * **reconstruct** (pass 2) / **moment partial** (pass 1) — the per-chunk
 //!   map, fanned across the shared `randrecon-parallel` pool with up to
 //!   `slots / 2` chunks in flight at once. For a random-access source this
-//!   stage first *generates* its chunk (`chunk_at(i)`: MVN draws plus the
-//!   disguise), so generation runs across the pool too;
+//!   stage first *generates* its chunk (`chunk_at(i)`: MVN draws transformed
+//!   in place, then the disguise added in place), so generation runs across
+//!   the pool too. The chunk stays one buffer from draw to sink: BE-DR's
+//!   map multiplies it in place and hands the same buffer on;
 //! * **sink** (pass 2) / **merge** (pass 1) — the consumer, draining on the
 //!   calling thread strictly in chunk order.
 //!
@@ -1101,8 +1103,9 @@ impl ChunkReconstructor for StreamingSf {
 /// `prepare` derives the posterior maps `data_pullᵀ = T⁻¹ Σ̂_x` and
 /// `prior_pull = Σ_r T⁻¹ μ̂_x` (with `T = Σ̂_x + Σ_r`) from **one** Cholesky
 /// factorization, exactly like the in-memory [`crate::be_dr::BeDr`]; pass 2
-/// sweeps chunks through the cached solve products. Peak memory: one chunk
-/// plus a handful of `m × m` matrices.
+/// sweeps chunks through the cached solve products, multiplying each chunk
+/// in place ([`Matrix::matmul_square_in_place`]) and returning the same
+/// buffer. Peak memory: one chunk plus a handful of `m × m` matrices.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StreamingBeDr {
     /// Eigenvalue floor for regularizing `Σ̂_x`; `None` uses the same default
@@ -1152,10 +1155,10 @@ impl ChunkReconstructor for StreamingBeDr {
         let data_pull_t = t_chol.solve_matrix(&sigma_x)?;
         let prior_pull = sigma_r.matvec(&t_chol.solve_vec(&moments.mean)?)?;
 
-        Ok(PreparedAttack::new(sigma_x, move |chunk: Matrix| {
-            let mut rec = chunk.matmul(&data_pull_t)?;
-            rec.add_row_broadcast(&prior_pull)?;
-            Ok(rec)
+        Ok(PreparedAttack::new(sigma_x, move |mut chunk: Matrix| {
+            chunk.matmul_square_in_place(&data_pull_t)?;
+            chunk.add_row_broadcast(&prior_pull)?;
+            Ok(chunk)
         })
         .with_warnings(warnings))
     }

@@ -211,10 +211,13 @@ impl RecordChunkSource for TableChunkSource<'_> {
 /// `Q`, the covariance `C = Q Λ Qᵀ` — but samples the multivariate-normal
 /// records lazily through a restartable [`MvnChunkSampler`], so generating a
 /// 500 k-record workload allocates one chunk at a time instead of the full
-/// table. The record *stream* differs from `SyntheticDataset::generate` for
-/// the same seed (chunks are sampled from child-seeded RNGs so resets
-/// replay exactly); the distribution is identical. Because each chunk has
-/// its own seed, the source offers a [`RandomAccess`] view.
+/// table. Each chunk is a single buffer: its normal draws are transformed
+/// into records in place, and the disguising adapter and BE-DR's map keep
+/// working in that buffer. The record *stream* differs from
+/// `SyntheticDataset::generate` for the same seed (chunks are sampled from
+/// child-seeded RNGs so resets replay exactly); the distribution is
+/// identical. Because each chunk has its own seed, the source offers a
+/// [`RandomAccess`] view.
 #[derive(Debug, Clone)]
 pub struct SyntheticChunkSource {
     sampler: MvnChunkSampler,

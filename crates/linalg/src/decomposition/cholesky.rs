@@ -76,6 +76,29 @@ impl Cholesky {
         self.l.rows()
     }
 
+    /// Overwrites every row `z` of `rows` with `z · Lᵀ` (that is, `L z`),
+    /// the multivariate-normal transform, without a second buffer.
+    ///
+    /// Output element `j` sums `z_k · L[j][k]` in ascending `k` from +0,
+    /// the naive product's order, stopping at the end of `j`'s 8-column
+    /// diagonal block instead of running through the upper triangle's
+    /// zeros. For finite rows the result is therefore bit-identical to
+    /// `rows.matmul(&self.l().transpose())`, at about half the
+    /// multiply-adds. Rows split across the shared pool at `matmul`'s
+    /// threshold.
+    pub fn mul_rows_in_place(&self, rows: &mut Matrix) -> Result<()> {
+        let n = self.dim();
+        if rows.cols() != n {
+            return Err(LinalgError::DimensionMismatch {
+                op: "cholesky mul_rows_in_place",
+                left: rows.shape(),
+                right: (n, n),
+            });
+        }
+        kernels::lower_triangular_rows_in_place(self.l.as_slice(), rows.as_mut_slice(), n);
+        Ok(())
+    }
+
     /// Solves `A x = b` for a single right-hand side.
     pub fn solve_vec(&self, b: &[f64]) -> Result<Vec<f64>> {
         let n = self.dim();

@@ -20,6 +20,12 @@
 //!   same in every path, and the exact-zero products the naive loop's
 //!   zero-skip would drop cannot change any finite value, so results stay
 //!   numerically identical (`==` per element) to the naive loop.
+//! * **In place**: `matmul_square_in_place` runs the same GEBP row-block
+//!   body (`gebp_rows`) over 64-row copies of its left operand, writing the
+//!   product back over the rows; `lower_triangular_rows_in_place` rewrites
+//!   each row `z` as `z · Lᵀ` from 8-row transposed copies, touching only
+//!   `L`'s lower triangle. Both keep the naive loop's per-element order, so
+//!   they match `matmul_blocked` into a fresh buffer bit for bit.
 //! * **Parallelism**: row-chunks of the output are dispatched onto the shared
 //!   [`randrecon_parallel`] pool once a product exceeds
 //!   [`PARALLEL_MIN_FLOPS`] multiply-adds; below [`BLOCKED_MIN_FLOPS`] the
@@ -34,7 +40,7 @@ pub(crate) const BLOCKED_MIN_FLOPS: usize = 1 << 15;
 
 /// At or above this many multiply-adds, kernels fan out across the pool
 /// (shared workspace-wide threshold).
-pub(crate) const PARALLEL_MIN_FLOPS: usize = randrecon_parallel::PARALLEL_MIN_FLOPS;
+const PARALLEL_MIN_FLOPS: usize = randrecon_parallel::PARALLEL_MIN_FLOPS;
 
 /// Rows of the right operand per packed panel (`k`-blocking factor).
 const KC: usize = 64;
@@ -174,6 +180,86 @@ fn microkernel_4x8(
     }
 }
 
+/// The GEBP row-block body: accumulates `C += A · B` for the rows of one
+/// block, with `b` already packed by [`pack_b`].
+///
+/// `a` is the block's `rows × k` slice of the left operand and `c` its
+/// `rows × n` slice of the output. Every `C` element receives its `k`
+/// contributions in ascending order, so any row split of a product gives
+/// the same bits as the whole.
+fn gebp_rows(a: &[f64], packed: &[f64], c: &mut [f64], k: usize, n: usize) {
+    let rows = c.len() / n;
+    debug_assert_eq!(a.len(), rows * k);
+    for kb in (0..k).step_by(KC) {
+        let kc = KC.min(k - kb);
+        let stripe = &packed[kb * n..kb * n + kc * n];
+        let mut i = 0;
+        // Full 4-row blocks ride the register microkernel.
+        while i + MR <= rows {
+            let a_rows: [&[f64]; MR] = std::array::from_fn(|r| {
+                let base = (i + r) * k + kb;
+                &a[base..base + kc]
+            });
+            for jb in (0..n).step_by(NC) {
+                let nc = NC.min(n - jb);
+                let panel = &stripe[kc * jb..kc * jb + kc * nc];
+                let mut j = 0;
+                while j + NR <= nc {
+                    let mut acc = [[0.0f64; NR]; MR];
+                    for (r, row_acc) in acc.iter_mut().enumerate() {
+                        let base = (i + r) * n + jb + j;
+                        row_acc.copy_from_slice(&c[base..base + NR]);
+                    }
+                    microkernel_4x8(a_rows, panel, nc, j, &mut acc);
+                    for (r, row_acc) in acc.iter().enumerate() {
+                        let base = (i + r) * n + jb + j;
+                        c[base..base + NR].copy_from_slice(row_acc);
+                    }
+                    j += NR;
+                }
+                // Column tail (< NR): per-row axpy sweep, same k order.
+                if j < nc {
+                    for r in 0..MR {
+                        let c_seg = &mut c[(i + r) * n + jb + j..(i + r) * n + jb + nc];
+                        for (kk, &aik) in a_rows[r].iter().enumerate() {
+                            if aik != 0.0 {
+                                axpy(c_seg, aik, &panel[kk * nc + j..kk * nc + nc]);
+                            }
+                        }
+                    }
+                }
+            }
+            i += MR;
+        }
+        // Row tail (< MR): the original axpy sweep.
+        for i in i..rows {
+            let a_seg = &a[i * k + kb..i * k + kb + kc];
+            for jb in (0..n).step_by(NC) {
+                let nc = NC.min(n - jb);
+                let panel = &stripe[kc * jb..kc * jb + kc * nc];
+                let c_seg = &mut c[i * n + jb..i * n + jb + nc];
+                panel_row_axpy(a_seg, panel, c_seg, nc);
+            }
+        }
+    }
+}
+
+/// Runs `row_block(first_row, rows)` over `data` (whole rows of `row_len`
+/// values), split row-wise across the pool once the product it computes
+/// reaches [`PARALLEL_MIN_FLOPS`] multiply-adds. Rows never straddle a
+/// split, so results do not depend on the thread count.
+pub(crate) fn split_rows<F>(data: &mut [f64], row_len: usize, flops: usize, row_block: F)
+where
+    F: Fn(usize, &mut [f64]) + Sync,
+{
+    let pieces = randrecon_parallel::max_threads();
+    if flops >= PARALLEL_MIN_FLOPS && pieces > 1 {
+        randrecon_parallel::parallel_row_chunks_mut(data, row_len, 8, pieces, row_block);
+    } else {
+        row_block(0, data);
+    }
+}
+
 /// Cache-blocked, transpose-packed `C = A · B` over row-major slices.
 ///
 /// `a` is `m × k`, `b` is `k × n`, `c` is `m × n` and must be zeroed.
@@ -182,68 +268,121 @@ pub(crate) fn matmul_blocked(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: u
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
     let packed = pack_b(b, k, n);
-
-    let row_block = |row0: usize, c_chunk: &mut [f64]| {
+    split_rows(c, n, m * k * n, |row0, c_chunk| {
         let rows = c_chunk.len() / n;
-        for kb in (0..k).step_by(KC) {
-            let kc = KC.min(k - kb);
-            let stripe = &packed[kb * n..kb * n + kc * n];
-            let mut i = 0;
-            // Full 4-row blocks ride the register microkernel.
-            while i + MR <= rows {
-                let a_rows: [&[f64]; MR] = std::array::from_fn(|r| {
-                    let base = (row0 + i + r) * k + kb;
-                    &a[base..base + kc]
-                });
-                for jb in (0..n).step_by(NC) {
-                    let nc = NC.min(n - jb);
-                    let panel = &stripe[kc * jb..kc * jb + kc * nc];
-                    let mut j = 0;
-                    while j + NR <= nc {
-                        let mut acc = [[0.0f64; NR]; MR];
-                        for (r, row_acc) in acc.iter_mut().enumerate() {
-                            let base = (i + r) * n + jb + j;
-                            row_acc.copy_from_slice(&c_chunk[base..base + NR]);
-                        }
-                        microkernel_4x8(a_rows, panel, nc, j, &mut acc);
-                        for (r, row_acc) in acc.iter().enumerate() {
-                            let base = (i + r) * n + jb + j;
-                            c_chunk[base..base + NR].copy_from_slice(row_acc);
-                        }
-                        j += NR;
-                    }
-                    // Column tail (< NR): per-row axpy sweep, same k order.
-                    if j < nc {
-                        for r in 0..MR {
-                            let c_seg = &mut c_chunk[(i + r) * n + jb + j..(i + r) * n + jb + nc];
-                            for (kk, &aik) in a_rows[r].iter().enumerate() {
-                                if aik != 0.0 {
-                                    axpy(c_seg, aik, &panel[kk * nc + j..kk * nc + nc]);
-                                }
-                            }
-                        }
-                    }
+        gebp_rows(&a[row0 * k..(row0 + rows) * k], &packed, c_chunk, k, n);
+    });
+}
+
+/// Rows of `A` copied out per step of [`matmul_square_in_place`].
+const IN_PLACE_ROWS: usize = 64;
+
+/// `A ← A · B` for a square `n × n` `b`, over `a`'s rows in place.
+///
+/// Each block of up to [`IN_PLACE_ROWS`] rows is copied into a scratch
+/// buffer, zeroed, and rebuilt by [`gebp_rows`] from the copy, so the
+/// result is bit-identical to [`matmul_blocked`] into a fresh buffer.
+pub(crate) fn matmul_square_in_place(a: &mut [f64], b: &[f64], n: usize) {
+    debug_assert_eq!(b.len(), n * n);
+    if n == 0 {
+        return;
+    }
+    debug_assert_eq!(a.len() % n, 0);
+    let packed = pack_b(b, n, n);
+    split_rows(a, n, a.len() * n, |_, rows| {
+        let mut scratch = vec![0.0; IN_PLACE_ROWS.min(rows.len() / n) * n];
+        for block in rows.chunks_mut(IN_PLACE_ROWS * n) {
+            let copy = &mut scratch[..block.len()];
+            copy.copy_from_slice(block);
+            block.fill(0.0);
+            gebp_rows(copy, &packed, block, n, n);
+        }
+    });
+}
+
+/// Records per tile of the triangular row transform: the SIMD lanes run
+/// across these rows.
+const TR: usize = 8;
+
+/// Output columns per register tile of the triangular row transform.
+const TJ: usize = 8;
+
+/// `z ← z · Lᵀ` for every row `z` of `rows`, reading only the lower
+/// triangle of the `n × n` `l`.
+///
+/// Output element `j` of a row is `Σ_{k ≤ j} z_k · L[j][k]`, accumulated
+/// from +0 in ascending `k` through [`fmadd`]: the naive product's order
+/// without the upper triangle's zero terms. For finite inputs a zero term
+/// cannot change a bit (it is `±0` added to a partial sum that is never
+/// `−0`, and `fma(z, 0, acc) = acc`), so the result equals `rows · Lᵀ`
+/// from [`matmul_blocked`] with about half the multiply-adds. The only
+/// zero terms kept are the ones inside each `TJ`-column diagonal block,
+/// which the register tile takes whole.
+///
+/// `TR` rows at a time are copied, transposed, into an L1 scratch so each
+/// SIMD lane is one row; a `TJ × TR` register tile of outputs accumulates
+/// against `Lᵀ` copied from `l`'s lower triangle alone (so it is exactly
+/// zero below its diagonal), and is written to a second scratch that is
+/// transposed back over the rows.
+pub(crate) fn lower_triangular_rows_in_place(l: &[f64], rows: &mut [f64], n: usize) {
+    debug_assert_eq!(l.len(), n * n);
+    if n == 0 {
+        return;
+    }
+    debug_assert_eq!(rows.len() % n, 0);
+    let mut lt = vec![0.0; n * n];
+    for (j, l_row) in l.chunks_exact(n).enumerate() {
+        for (k, &v) in l_row[..=j].iter().enumerate() {
+            lt[k * n + j] = v;
+        }
+    }
+    split_rows(rows, n, rows.len() * n, |_, chunk| {
+        let mut zt = vec![0.0; n * TR];
+        let mut out = vec![0.0; n * TR];
+        for tile in chunk.chunks_mut(TR * n) {
+            // A short final tile leaves stale lanes in the scratch; they are
+            // computed on but never written back.
+            for (r, row) in tile.chunks_exact(n).enumerate() {
+                for (k, &z) in row.iter().enumerate() {
+                    zt[k * TR + r] = z;
                 }
-                i += MR;
             }
-            // Row tail (< MR): the original axpy sweep.
-            for i in i..rows {
-                let a_seg = &a[(row0 + i) * k + kb..(row0 + i) * k + kb + kc];
-                for jb in (0..n).step_by(NC) {
-                    let nc = NC.min(n - jb);
-                    let panel = &stripe[kc * jb..kc * jb + kc * nc];
-                    let c_seg = &mut c_chunk[i * n + jb..i * n + jb + nc];
-                    panel_row_axpy(a_seg, panel, c_seg, nc);
+            let mut j0 = 0;
+            while j0 + TJ <= n {
+                triangular_tile::<TJ>(&lt, &zt, &mut out, n, j0);
+                j0 += TJ;
+            }
+            for j in j0..n {
+                triangular_tile::<1>(&lt, &zt, &mut out, n, j);
+            }
+            for (r, row) in tile.chunks_exact_mut(n).enumerate() {
+                for (o, lanes) in row.iter_mut().zip(out.chunks_exact(TR)) {
+                    *o = lanes[r];
                 }
             }
         }
-    };
+    });
+}
 
-    let pieces = randrecon_parallel::max_threads();
-    if m * k * n >= PARALLEL_MIN_FLOPS && pieces > 1 {
-        randrecon_parallel::parallel_row_chunks_mut(c, n, 8, pieces, row_block);
-    } else {
-        row_block(0, c);
+/// Output columns `j0..j0 + W` of one transposed row tile: `k` runs to the
+/// end of the tile's diagonal block, where `lt`'s zeros stand in for the
+/// terms past each column's diagonal.
+#[inline(always)]
+fn triangular_tile<const W: usize>(lt: &[f64], zt: &[f64], out: &mut [f64], n: usize, j0: usize) {
+    let mut acc = [[0.0f64; TR]; W];
+    for (z, lt_row) in zt.chunks_exact(TR).zip(lt.chunks_exact(n)).take(j0 + W) {
+        let z: &[f64; TR] = z.try_into().expect("scratch rows are TR wide");
+        let l_block: &[f64; W] = lt_row[j0..j0 + W]
+            .try_into()
+            .expect("the column tile is W wide");
+        for (col, &l_jk) in acc.iter_mut().zip(l_block) {
+            for (o, &z_k) in col.iter_mut().zip(z) {
+                *o = fmadd(z_k, l_jk, *o);
+            }
+        }
+    }
+    for (lanes, col) in out[j0 * TR..(j0 + W) * TR].chunks_exact_mut(TR).zip(&acc) {
+        lanes.copy_from_slice(col);
     }
 }
 

@@ -64,6 +64,21 @@
 //!   not available in the offline build environment, so the pool provides the
 //!   rayon-equivalent bridge). Each output row is owned by exactly one
 //!   worker, so results do not depend on thread count.
+//! * **In-place products.** Two kernels overwrite their left operand
+//!   instead of allocating a second `rows × cols` buffer, so a streamed
+//!   chunk can stay one buffer from generation to sink.
+//!   [`Matrix::matmul_square_in_place`] (`A ← A·B` for a square `B`, BE-DR's
+//!   chunk map) copies 64 rows at a time into a scratch buffer and rebuilds
+//!   them through the blocked kernel's row-block body.
+//!   [`decomposition::Cholesky::mul_rows_in_place`] (each row `z ← z·Lᵀ`,
+//!   the multivariate-normal transform) copies 8 rows at a time, transposed,
+//!   into an L1 scratch so SIMD lanes run across rows, and accumulates an
+//!   8-column register tile over `k` only up to the tile's diagonal block:
+//!   about half the multiply-adds of `Z·Lᵀ`. Both keep the naive loop's
+//!   per-element order, so they are bit-identical to `matmul` into a fresh
+//!   buffer (for finite inputs the skipped upper triangle could only add
+//!   `±0` to partial sums that are never `−0`), and both split rows across
+//!   the pool at `matmul`'s threshold.
 //! * **Transpose-free projections.** [`Matrix::matmul_transpose_b`] computes
 //!   `A·Bᵀ` as row-by-row dot products — the natural kernel for the
 //!   `(Y Q̂) Q̂ᵀ` projections of PCA-DR / spectral filtering — without ever
@@ -115,12 +130,15 @@
 //!   untouched, and the output stays byte-identical to the sequential
 //!   sweep at every slot count and worker count.
 //! * **One contraction funnel.** Every kernel accumulates through a single
-//!   `fmadd(a, b, acc)` helper. By default it is a separately rounded
+//!   `fmadd(a, b, acc)` helper, and so does the naive reference
+//!   [`Matrix::matmul_naive`]. By default it is a separately rounded
 //!   multiply-then-add, so results are flag-independent and bit-exact
 //!   against the naive references; the opt-in `fma` cargo feature swaps in
 //!   `f64::mul_add`, which `target-cpu=native` lowers to one hardware FMA
 //!   per element (higher precision, different bits — the statistical
-//!   goldens are re-baselined separately for that profile).
+//!   goldens are re-baselined separately for that profile). Because the
+//!   reference fuses too, every kernel is pinned bit for bit in both
+//!   profiles.
 //!
 //! ## Example
 //!

@@ -514,10 +514,31 @@ impl Matrix {
         Ok(out)
     }
 
+    /// In-place product with a square right operand: `self ← self · b`.
+    ///
+    /// Each block of 64 rows is copied into a scratch buffer and rebuilt
+    /// through [`matmul`](Matrix::matmul)'s blocked kernel, so for finite
+    /// values the result is bit-identical to `self.matmul(b)` while no
+    /// second `rows × cols` buffer is allocated. Rows split across the
+    /// shared pool at `matmul`'s threshold.
+    pub fn matmul_square_in_place(&mut self, b: &Matrix) -> Result<()> {
+        if self.cols != b.rows || !b.is_square() {
+            return Err(LinalgError::DimensionMismatch {
+                op: "matmul_square_in_place",
+                left: self.shape(),
+                right: b.shape(),
+            });
+        }
+        kernels::matmul_square_in_place(&mut self.data, b.as_slice(), self.cols);
+        Ok(())
+    }
+
     /// Reference matrix product: the unblocked i-k-j triple loop.
     ///
     /// Kept public so property tests and benchmarks can compare the blocked
-    /// kernel against a straightforward implementation.
+    /// kernel against a straightforward implementation. It accumulates
+    /// through the same multiply-add as the kernels, so it is their
+    /// reference in both the default and the `fma` profile.
     pub fn matmul_naive(&self, other: &Matrix) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(LinalgError::DimensionMismatch {
@@ -538,7 +559,7 @@ impl Matrix {
                 let other_row = other.row(k);
                 let out_row = out.row_mut(i);
                 for (o, &b) in out_row.iter_mut().zip(other_row.iter()) {
-                    *o += a * b;
+                    *o = kernels::fmadd(a, b, *o);
                 }
             }
         }
@@ -564,21 +585,14 @@ impl Matrix {
         let mut out = Matrix::zeros(m, n);
         let a = self.as_slice();
         let b = other.as_slice();
-        let pieces = randrecon_parallel::max_threads();
-        let parallel = m * n * k >= kernels::PARALLEL_MIN_FLOPS && pieces > 1;
-        let row_work = |i0: usize, rows_out: &mut [f64]| {
+        kernels::split_rows(out.as_mut_slice(), n, m * n * k, |i0, rows_out| {
             for (di, out_row) in rows_out.chunks_exact_mut(n).enumerate() {
                 let a_row = &a[(i0 + di) * k..(i0 + di + 1) * k];
                 for (j, o) in out_row.iter_mut().enumerate() {
                     *o = kernels::dot(a_row, &b[j * k..(j + 1) * k]);
                 }
             }
-        };
-        if parallel {
-            randrecon_parallel::parallel_row_chunks_mut(out.as_mut_slice(), n, 8, pieces, row_work);
-        } else {
-            row_work(0, out.as_mut_slice());
-        }
+        });
         Ok(out)
     }
 

@@ -181,13 +181,9 @@ proptest! {
         let b = pseudo_random_matrix(k, n, seed ^ 0x5EED_BEEF);
         let blocked = a.matmul(&b).unwrap();
         let naive = a.matmul_naive(&b).unwrap();
-        // Default build: exact (`==` per element). Under the opt-in `fma`
-        // feature the microkernel's multiply-adds are contracted while the
-        // naive loop's are not, so the pin relaxes to the contraction's
-        // worst-case drift: one skipped rounding (½ ulp of the product) per
-        // accumulation step, k ≤ 140 steps on O(1) values ⇒ ≲ 1e-13.
-        let tol = if cfg!(feature = "fma") { 1e-12 } else { 0.0 };
-        prop_assert!(blocked.approx_eq(&naive, tol), "shape {m}x{k}x{n}");
+        // Exact in both profiles: the naive loop and the microkernel take
+        // the same multiply-add step (fused under the `fma` feature).
+        prop_assert!(blocked.approx_eq(&naive, 0.0), "shape {m}x{k}x{n}");
     }
 
     /// The fused A·Bᵀ kernel agrees with materializing the transpose.
@@ -203,6 +199,40 @@ proptest! {
         let fused = a.matmul_transpose_b(&b).unwrap();
         let explicit = a.matmul_naive(&b.transpose()).unwrap();
         prop_assert!(fused.approx_eq(&explicit, 1e-10), "shape {m}x{k}x{n}");
+    }
+
+    /// `Cholesky::mul_rows_in_place` rewrites every row `z` as `z · Lᵀ`
+    /// with the same bits as the multiply-add i-k-j product, for every
+    /// factor shape: dense, banded (exact zeros below the band), diagonal
+    /// and the identity.
+    #[test]
+    fn lower_triangular_in_place_is_bit_identical_to_the_fmadd_product(
+        dim in 1usize..71,
+        rows in 0usize..41,
+        structure in 0usize..4,
+        seed in 0u64..1_000_000,
+    ) {
+        let chol = structured_cholesky(dim, structure, seed);
+        let z = pseudo_random_matrix(rows, dim, seed ^ 0x7A11_0C8E);
+        let mut transformed = z.clone();
+        chol.mul_rows_in_place(&mut transformed).unwrap();
+        let reference = fmadd_product(&z, &chol.l().transpose());
+        prop_assert_eq!(bits(&transformed), bits(&reference), "{} x {}", rows, dim);
+    }
+
+    /// `matmul_square_in_place` leaves the bits `matmul` writes into a
+    /// fresh buffer, on both sides of `matmul`'s naive/blocked dispatch.
+    #[test]
+    fn matmul_square_in_place_is_bit_identical_to_matmul(
+        dim in 1usize..71,
+        rows in 0usize..41,
+        seed in 0u64..1_000_000,
+    ) {
+        let a = pseudo_random_matrix(rows, dim, seed);
+        let b = pseudo_random_matrix(dim, dim, seed ^ 0x0DD5_EED5);
+        let mut in_place = a.clone();
+        in_place.matmul_square_in_place(&b).unwrap();
+        prop_assert_eq!(bits(&in_place), bits(&a.matmul(&b).unwrap()), "{} x {}", rows, dim);
     }
 
     /// `Cholesky::solve_matrix` agrees with the naive column-by-column solve
@@ -233,6 +263,101 @@ proptest! {
         let residual = spd.matmul(&fast).unwrap();
         prop_assert!(residual.approx_eq(&b, 1e-7 * b.max_abs().max(1.0)));
     }
+}
+
+/// Every dimension 1..=70 at 13 rows (one full 8-row tile and a tail, three
+/// 4-row register blocks and a tail), every row count 0..=40 at dimension 70
+/// (register-tile column tails of 6), and two shapes past the pool-split
+/// threshold whose row counts are not multiples of 64: both in-place kernels
+/// keep the bits of their reference products.
+#[test]
+fn in_place_kernels_cover_every_tail_and_the_parallel_split() {
+    let shapes = (1..=70)
+        .map(|dim| (13, dim))
+        .chain((0..=40).map(|rows| (rows, 70)))
+        .chain([(1031, 64), (900, 70)]);
+    for (case, (rows, dim)) in shapes.enumerate() {
+        let seed = case as u64;
+        let chol = structured_cholesky(dim, case % 4, seed);
+        let z = pseudo_random_matrix(rows, dim, seed ^ 0x7A11_0C8E);
+        let mut transformed = z.clone();
+        chol.mul_rows_in_place(&mut transformed).unwrap();
+        let reference = fmadd_product(&z, &chol.l().transpose());
+        assert_eq!(bits(&transformed), bits(&reference), "L: {rows} x {dim}");
+
+        let b = pseudo_random_matrix(dim, dim, seed ^ 0x0DD5_EED5);
+        let mut in_place = z.clone();
+        in_place.matmul_square_in_place(&b).unwrap();
+        assert_eq!(
+            bits(&in_place),
+            bits(&z.matmul(&b).unwrap()),
+            "B: {rows} x {dim}"
+        );
+    }
+}
+
+#[test]
+fn in_place_kernels_reject_mismatched_shapes() {
+    let chol = Cholesky::new(&Matrix::identity(3)).unwrap();
+    assert!(chol.mul_rows_in_place(&mut Matrix::zeros(2, 4)).is_err());
+    let mut a = Matrix::zeros(2, 3);
+    assert!(a.matmul_square_in_place(&Matrix::zeros(3, 4)).is_err());
+    assert!(a.matmul_square_in_place(&Matrix::zeros(4, 4)).is_err());
+}
+
+/// The kernels' one multiply-add step: separately rounded by default, fused
+/// under the `fma` feature.
+fn fmadd(a: f64, b: f64, acc: f64) -> f64 {
+    if cfg!(feature = "fma") {
+        a.mul_add(b, acc)
+    } else {
+        acc + a * b
+    }
+}
+
+/// The reference both in-place kernels are pinned to: the i-k-j product,
+/// every output accumulated from +0 in ascending `k` through [`fmadd`],
+/// zero terms included.
+fn fmadd_product(a: &Matrix, b: &Matrix) -> Matrix {
+    let (m, k) = a.shape();
+    Matrix::from_fn(m, b.cols(), |i, j| {
+        (0..k).fold(0.0, |acc, kk| fmadd(a.get(i, kk), b.get(kk, j), acc))
+    })
+}
+
+/// The Cholesky factor of a `dim × dim` SPD matrix of one of four
+/// structures: 0 dense, 1 banded (its factor has exact zeros below the
+/// band), 2 diagonal, 3 the identity.
+fn structured_cholesky(dim: usize, structure: usize, seed: u64) -> Cholesky {
+    let base = pseudo_random_matrix(dim, dim, seed ^ 0x5D0_C0DE);
+    let band = 1 + (seed as usize) % 4;
+    let spd = match structure {
+        0 => {
+            let mut spd = base.matmul_transpose_b(&base).unwrap();
+            for d in 0..dim {
+                spd[(d, d)] += dim as f64;
+            }
+            spd
+        }
+        1 => Matrix::from_fn(dim, dim, |i, j| match i.abs_diff(j) {
+            0 => 4.0 + base.get(i, i).abs(),
+            d if d <= band => 0.5 / d as f64,
+            _ => 0.0,
+        }),
+        2 => Matrix::from_fn(dim, dim, |i, j| {
+            if i == j {
+                1.0 + base.get(i, i).abs()
+            } else {
+                0.0
+            }
+        }),
+        _ => Matrix::identity(dim),
+    };
+    Cholesky::new(&spd).unwrap()
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
 /// Deterministic pseudo-random matrix for shapes too big to ship through a

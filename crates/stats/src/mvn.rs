@@ -3,14 +3,16 @@
 //! Equivalent of Matlab's `mvnrnd`, which the paper uses to generate both the
 //! synthetic original data (Section 7.1, step 4) and the correlated noise of
 //! the improved randomization scheme (Section 8.1). Sampling is Cholesky-based:
-//! `x = μ + L z` with `z ~ N(0, I)` and `Σ = L Lᵀ`.
+//! `x = μ + L z` with `z ~ N(0, I)` and `Σ = L Lᵀ`. A batch lives in one
+//! buffer: the draws are written into it and then transformed in place
+//! through `L`'s lower triangle ([`Cholesky::mul_rows_in_place`]).
 //!
 //! The chunked [`MvnChunkSampler`] derives each chunk from its own child seed,
 //! so any chunk can be drawn on its own ([`MvnChunkSampler::chunk_at`]), in
 //! any order or on any thread, bit-identical to a sequential sweep.
 
 use crate::error::{Result, StatsError};
-use crate::rng::{child_seed, seeded_rng, standard_normal_fill, standard_normal_vec};
+use crate::rng::{child_seed, seeded_rng, standard_normal_fill};
 use rand::Rng;
 use randrecon_linalg::decomposition::Cholesky;
 use randrecon_linalg::Matrix;
@@ -21,17 +23,21 @@ pub struct MultivariateNormal {
     mean: Vec<f64>,
     covariance: Matrix,
     cholesky: Cholesky,
-    /// `Lᵀ`, formed once so batches multiply by it through the blocked
-    /// `matmul` kernel.
-    l_transpose: Matrix,
 }
 
 impl MultivariateNormal {
     /// Creates a multivariate normal from a mean vector and covariance matrix.
     ///
-    /// The covariance must be square, symmetric, positive definite, and its
-    /// dimension must match the mean's length.
+    /// The mean must be finite. The covariance must be square, symmetric,
+    /// positive definite, and its dimension must match the mean's length.
     pub fn new(mean: Vec<f64>, covariance: Matrix) -> Result<Self> {
+        if let Some(&value) = mean.iter().find(|v| !v.is_finite()) {
+            return Err(StatsError::InvalidParameter {
+                name: "mean",
+                value,
+                requirement: "finite",
+            });
+        }
         if covariance.rows() != mean.len() {
             return Err(StatsError::DimensionMismatch {
                 context: format!(
@@ -43,12 +49,10 @@ impl MultivariateNormal {
             });
         }
         let cholesky = Cholesky::new(&covariance)?;
-        let l_transpose = cholesky.l().transpose();
         Ok(MultivariateNormal {
             mean,
             covariance,
             cholesky,
-            l_transpose,
         })
     }
 
@@ -78,31 +82,21 @@ impl MultivariateNormal {
         &self.covariance
     }
 
-    /// Draws a single sample vector.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
-        let z = standard_normal_vec(self.dim(), rng);
-        let lz = lower_triangular_matvec(self.cholesky.l(), &z);
-        self.mean
-            .iter()
-            .zip(lz.iter())
-            .map(|(&m, &v)| m + v)
-            .collect()
-    }
-
     /// Draws `n` samples as an `n × dim` matrix (records are rows), the layout
     /// the rest of the workspace uses for data sets.
     ///
-    /// The standard-normal draws fill one `n × dim` matrix `Z` row by row
-    /// ([`standard_normal_fill`], the ziggurat), and the covariance is
-    /// applied as one product `Z Lᵀ` on the blocked 4×8-microkernel
-    /// `matmul` against the `Lᵀ` formed at construction. The product is
-    /// bit-identical to [`Matrix::matmul_naive`] at every thread count.
+    /// One `n × dim` buffer holds the whole batch: it is filled row by row
+    /// with standard-normal draws ([`standard_normal_fill`], the ziggurat),
+    /// and each row `z` is then overwritten with `z Lᵀ` by
+    /// [`Cholesky::mul_rows_in_place`], which reads only `L`'s lower
+    /// triangle. The result is bit-identical to multiplying the draws by
+    /// `Lᵀ` with [`Matrix::matmul`] at every thread count, with about half
+    /// the multiply-adds and no second buffer.
     pub fn sample_matrix<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Matrix {
-        let dim = self.dim();
-        let mut z = Matrix::zeros(n, dim);
-        standard_normal_fill(z.as_mut_slice(), rng);
-        let mut out = z
-            .matmul(&self.l_transpose)
+        let mut out = Matrix::zeros(n, self.dim());
+        standard_normal_fill(out.as_mut_slice(), rng);
+        self.cholesky
+            .mul_rows_in_place(&mut out)
             .expect("sample_matrix shapes always agree");
         if self.mean.iter().any(|&m| m != 0.0) {
             out.add_row_broadcast(&self.mean)
@@ -158,8 +152,9 @@ impl MultivariateNormal {
 ///   [`next_chunk`](MvnChunkSampler::next_chunk) is `chunk_at` at a cursor.
 ///
 /// Each chunk is drawn through [`MultivariateNormal::sample_matrix`]
-/// (ziggurat draws, then `Z Lᵀ` on the blocked kernel), reusing the factor
-/// computed at construction.
+/// (ziggurat draws, transformed in place through `L`'s lower triangle), so
+/// a chunk is one buffer from its first draw on, and the factor computed at
+/// construction is reused.
 #[derive(Debug, Clone)]
 pub struct MvnChunkSampler {
     mvn: MultivariateNormal,
@@ -255,18 +250,6 @@ impl MvnChunkSampler {
         self.cursor += 1;
         Some(chunk)
     }
-}
-
-/// Computes `L v` exploiting the lower-triangular structure of `L`:
-/// each entry is a dot of L's contiguous row prefix with the prefix of `v`.
-fn lower_triangular_matvec(l: &Matrix, v: &[f64]) -> Vec<f64> {
-    let n = l.rows();
-    let mut out = vec![0.0; n];
-    for (i, o) in out.iter_mut().enumerate() {
-        let row = &l.row(i)[..=i];
-        *o = row.iter().zip(&v[..=i]).map(|(&a, &b)| a * b).sum();
-    }
-    out
 }
 
 #[cfg(test)]
@@ -409,16 +392,51 @@ mod tests {
     }
 
     #[test]
-    fn sample_matrix_is_bit_identical_to_the_naive_product() {
-        // 1031 × 64 × 64 clears the parallel threshold and leaves a row
-        // tail, so the pool-split blocked kernel is what gets compared.
-        let mvn = MultivariateNormal::zero_mean(toeplitz(64)).unwrap();
-        let n = 1031;
-        let sample = mvn.sample_matrix(n, &mut seeded_rng(8));
-        let z = Matrix::from_flat(n, 64, standard_normal_vec(n * 64, &mut seeded_rng(8))).unwrap();
-        let naive = z.matmul_naive(&mvn.cholesky.l().transpose()).unwrap();
+    fn sample_matrix_in_place_is_bit_identical_to_z_times_l_transpose() {
+        // The parent path: fill a fresh `Z`, then `Z.matmul(&Lᵀ)` into a
+        // second buffer. 1031 × 64 clears the parallel threshold and leaves
+        // a row tail; the small shapes take `matmul`'s naive branch and
+        // leave tails of both register tiles.
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&sample), bits(&naive));
+        for (case, &(n, dim, with_mean)) in [
+            (1031, 64, false),
+            (0, 3, false),
+            (1, 1, true),
+            (7, 5, false),
+            (9, 17, true),
+            (300, 9, true),
+            (40, 70, false),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let mean: Vec<f64> = (0..dim)
+                .map(|j| if with_mean { j as f64 - 2.5 } else { 0.0 })
+                .collect();
+            let mvn = MultivariateNormal::new(mean.clone(), toeplitz(dim)).unwrap();
+            let seed = 8 + case as u64;
+            let sample = mvn.sample_matrix(n, &mut seeded_rng(seed));
+            let mut z = Matrix::zeros(n, dim);
+            standard_normal_fill(z.as_mut_slice(), &mut seeded_rng(seed));
+            let mut reference = z.matmul(&mvn.cholesky.l().transpose()).unwrap();
+            if with_mean {
+                reference.add_row_broadcast(&mean).unwrap();
+            }
+            assert_eq!(bits(&sample), bits(&reference), "{n} x {dim}");
+        }
+    }
+
+    #[test]
+    fn construction_rejects_a_non_finite_mean() {
+        for mean in [vec![f64::NAN, 0.0], vec![0.0, f64::INFINITY]] {
+            match MultivariateNormal::new(mean, cov2()) {
+                Err(StatsError::InvalidParameter { name, value, .. }) => {
+                    assert_eq!(name, "mean");
+                    assert!(!value.is_finite());
+                }
+                other => panic!("expected a mean error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Runs the `micro` benchmark harness and dumps every measurement to a JSON
-# file (default BENCH_12.json at the repo root) for the perf trajectory.
+# file (default BENCH_13.json at the repo root) for the perf trajectory.
 #
 # Usage: scripts/bench_to_json.sh [output.json]
 #
@@ -23,15 +23,18 @@
 # (`csv_parse/8192` vs `csv_parse_seed/8192`, `csv_format/8192` vs
 # `csv_format_seed/8192`); and the `posterior` ratio, UDR's window-summed
 # uniform-noise posterior vs the full-grid reference over 20 000 values
-# (`udr_uniform/20000` vs `udr_uniform_reference/20000`, >=10x).
-# BENCH_1.json … BENCH_11.json are frozen records of earlier states of the
+# (`udr_uniform/20000` vs `udr_uniform_reference/20000`, >=10x); and the
+# `mvn` ratio, one 8192 x 64 chunk drawn in one buffer and transformed in
+# place through L's lower triangle vs the two-buffer `Z * L^T` path
+# (`sample_matrix/8192` vs `sample_matrix_gebp_seed/8192`, >=1.15x).
+# BENCH_1.json … BENCH_12.json are frozen records of earlier states of the
 # code; pass one of them as the argument only to regenerate history
 # deliberately.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_12.json}"
+out="${1:-BENCH_13.json}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
@@ -120,4 +123,8 @@ new = results.get(("posterior", "udr_uniform/20000"))
 old = results.get(("posterior", "udr_uniform_reference/20000"))
 if new and old:
     print(f"udr uniform-noise posterior, 20000 values: full grid {old/1e6:.2f} ms -> noise window {new/1e6:.2f} ms  ({old/new:.2f}x, acceptance >=10x)")
+new = results.get(("mvn", "sample_matrix/8192"))
+old = results.get(("mvn", "sample_matrix_gebp_seed/8192"))
+if new and old:
+    print(f"mvn 8192x64 chunk: two buffers + GEBP Z*L^T {old/1e6:.2f} ms -> one buffer, in-place triangular {new/1e6:.2f} ms  ({old/new:.2f}x, acceptance >=1.15x)")
 EOF
