@@ -6,7 +6,8 @@
 //! sweep (≥1.3× for the blocked rank-update at m = 256), the axpy-sweep
 //! blocked matmul (≥1.5× for the register microkernel at 512²), the
 //! per-line CSV reader and per-value `format!` writer that the banded CSV
-//! codec replaced (its bytes, bits and errors are pinned against them), and
+//! codec replaced (its bytes, bits and errors are pinned against them, on
+//! fixed tables and on fuzzed record lines), and
 //! the two-buffer MVN batch that the in-place triangular transform replaced
 //! (≥1.15× on one 8192 × 64 chunk, pinned bit for bit).
 //! The unblocked matmul and the Jacobi eigensolver references live in
@@ -382,7 +383,7 @@ mod tests {
 
     /// Reads `text` at `chunk_rows` through `CsvChunkReader` and through the
     /// seed loop; both must give the same chunks, bits and error.
-    fn assert_reads_like_the_seed(name: &str, text: &str, chunk_rows: usize) -> Drained {
+    fn assert_reads_like_the_seed(name: &str, text: &[u8], chunk_rows: usize) -> Drained {
         let path =
             std::env::temp_dir().join(format!("randrecon_bench_{name}_{}.csv", std::process::id()));
         std::fs::write(&path, text).unwrap();
@@ -390,7 +391,7 @@ mod tests {
         let codec = drain(|| reader.next_chunk());
         std::fs::remove_file(&path).ok();
 
-        let mut lines = text.as_bytes().lines();
+        let mut lines = text.lines();
         let header = lines.next().unwrap().unwrap();
         let m = split_csv_fields(&header).unwrap().len();
         let mut line_no = 1;
@@ -411,7 +412,7 @@ mod tests {
         let n = 2 * wave_rows() + BAND_ROWS / 2 + 3;
         let text = awkward_csv(n);
         for chunk_rows in chunk_sizes() {
-            let (chunks, error) = assert_reads_like_the_seed("bits", &text, chunk_rows);
+            let (chunks, error) = assert_reads_like_the_seed("bits", text.as_bytes(), chunk_rows);
             assert_eq!(error, None);
             assert_eq!(chunks.len(), n.div_ceil(chunk_rows));
         }
@@ -453,11 +454,177 @@ mod tests {
                 edited[at] = bad;
                 let edited = edited.join("\n");
                 for chunk_rows in chunk_sizes() {
-                    let (_, error) = assert_reads_like_the_seed("errors", &edited, chunk_rows);
+                    let (_, error) =
+                        assert_reads_like_the_seed("errors", edited.as_bytes(), chunk_rows);
                     assert!(error.is_some(), "{bad} at line {}", at + 1);
                 }
             }
         }
+    }
+
+    /// SplitMix64: the fuzzer's deterministic stream.
+    struct Fuzz(u64);
+
+    impl Fuzz {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, items: &[&'a [u8]]) -> &'a [u8] {
+            items[self.below(items.len())]
+        }
+
+        /// `n` random decimal digits.
+        fn digits(&mut self, n: usize) -> Vec<u8> {
+            (0..n).map(|_| b'0' + self.below(10) as u8).collect()
+        }
+
+        /// `min` to `max` random decimal digits.
+        fn some_digits(&mut self, min: usize, max: usize) -> Vec<u8> {
+            let n = min + self.below(max - min + 1);
+            self.digits(n)
+        }
+    }
+
+    /// One record field built from number-syntax atoms: mostly a number
+    /// with a random sign, integer and fraction digits (up to 19, 20 or
+    /// 400 of them, or a run of zeros), exponent, padding and quotes;
+    /// otherwise any few atoms, commas, quotes, `inf`, `NaN`, U+00A0 and an
+    /// invalid UTF-8 byte among them.
+    fn fuzz_field(rng: &mut Fuzz) -> Vec<u8> {
+        const ATOMS: [&[u8]; 20] = [
+            b"0",
+            b"7",
+            b"12345",
+            b"-",
+            b"+",
+            b".",
+            b"e",
+            b"E",
+            b",",
+            b" ",
+            b"\t",
+            b"\"",
+            b"inf",
+            b"NaN",
+            b"\r",
+            "\u{a0}".as_bytes(),
+            b"\xff",
+            b"00000",
+            b"1e-400",
+            b"-0",
+        ];
+        const PADS: [&[u8]; 5] = [b" ", b"\t", b"\r", "\u{a0}".as_bytes(), b""];
+        let mut field = Vec::new();
+        if rng.below(10) == 0 {
+            for _ in 0..1 + rng.below(4) {
+                field.extend_from_slice(rng.pick(&ATOMS));
+            }
+            return field;
+        }
+        let digits = |rng: &mut Fuzz| match rng.below(8) {
+            0 => Vec::new(),
+            1 => b"0".repeat(1 + rng.below(30)),
+            2 => rng.digits(19),
+            3 => rng.digits(20),
+            4 => rng.digits(400),
+            5 => [b"0".repeat(rng.below(25)), rng.some_digits(1, 19)].concat(),
+            _ => rng.some_digits(1, 6),
+        };
+        let quoted = rng.below(20) == 0;
+        let pad = rng.below(10) == 0;
+        if pad {
+            field.extend_from_slice(rng.pick(&PADS));
+        }
+        if quoted {
+            field.push(b'"');
+        }
+        field.extend_from_slice(rng.pick(&[b"", b"", b"", b"-", b"+"]));
+        field.extend(digits(rng));
+        if rng.below(3) > 0 {
+            field.push(b'.');
+            field.extend(digits(rng));
+        }
+        if rng.below(10) == 0 {
+            field.extend_from_slice(rng.pick(&[b"e", b"E", b"e-", b"e+"]));
+            field.extend(rng.some_digits(0, 3));
+        }
+        if quoted {
+            field.push(b'"');
+        }
+        if pad {
+            field.extend_from_slice(rng.pick(&PADS));
+        }
+        field
+    }
+
+    /// A CSV text under the header `a0,a1,a2`: a few record lines of about
+    /// three fuzzed fields, with blank lines, trailing commas and CRLF
+    /// endings among them.
+    fn fuzz_csv(rng: &mut Fuzz) -> Vec<u8> {
+        let mut text = b"a0,a1,a2\n".to_vec();
+        for _ in 0..1 + rng.below(4) {
+            let fields = match rng.below(12) {
+                0 => 2,
+                1 => 4,
+                _ => 3,
+            };
+            for j in 0..fields {
+                if j > 0 {
+                    text.push(b',');
+                }
+                text.extend(fuzz_field(rng));
+            }
+            match rng.below(12) {
+                0 => text.push(b','),
+                1 => text.extend_from_slice(b"\n"),
+                _ => {}
+            }
+            text.extend_from_slice(rng.pick(&[b"\n", b"\n", b"\r\n"]));
+        }
+        text
+    }
+
+    #[test]
+    fn csv_codec_matches_the_seed_on_fuzzed_records() {
+        // The fast path hands every line it does not read exactly to the
+        // std path, so on any input both readers must give the seed loop's
+        // bits or its located error, and none may panic.
+        let mut rng = Fuzz(0xC5F_F022);
+        let mut readable = 0;
+        for case in 0..10_000 {
+            let text = fuzz_csv(&mut rng);
+            assert_reads_like_the_seed("fuzz", &text, 1);
+            let (chunks, error) = assert_reads_like_the_seed("fuzz", &text, 8192);
+            let whole = match std::str::from_utf8(&text) {
+                Ok(text) => from_csv_string(text),
+                Err(_) => randrecon_data::csv::read_csv(&mut &text[..]),
+            };
+            match (whole, chunks.first(), &error) {
+                (Ok(table), Some(bits_read), None) => {
+                    assert!(bits(table.values()) == *bits_read, "case {case}");
+                    readable += 1;
+                }
+                (Err(e), None, None) => {
+                    assert_eq!(e.to_string(), "CSV parse error at line 2: no data rows")
+                }
+                (Err(e), _, Some(seed_error)) => {
+                    assert_eq!(&e.to_string(), seed_error, "case {case}")
+                }
+                (whole, _, _) => panic!("case {case}: read_csv gave {whole:?}, the seed {error:?}"),
+            }
+        }
+        // Some cases are whole tables of plain numbers, read on the fast
+        // path end to end.
+        assert!(readable > 100, "{readable} readable cases");
     }
 
     #[test]

@@ -33,27 +33,50 @@
 //!   the output buffer. A line is blank when `str::trim` leaves nothing, a
 //!   trailing `\n` or `\r\n` is stripped as `BufRead::lines` strips it, and
 //!   a line that is not UTF-8 fails with the error `BufRead::lines` gives.
-//! * **Writing.** Each band formats its records with `write!` into a
-//!   recycled text buffer that it owns for the call — moved out of the
-//!   writer's list and put back afterwards, because formatting through a
-//!   shared list would write its neighbours' cache line on every push — and
-//!   the buffers are written out in band order.
+//! * **Writing.** Each band formats its records into a recycled byte
+//!   buffer that it owns for the call — moved out of the writer's list and
+//!   put back afterwards, because formatting through a shared list would
+//!   write its neighbours' cache line on every push — and the buffers are
+//!   written out in band order.
 //!
 //! Neither side allocates per line or per value, and neither holds more
-//! than one wave of text: never a whole chunk. Values are parsed with
-//! `str::parse::<f64>` and formatted with `Display`, and bands never
-//! reorder anything, so output bytes, parsed bits and errors are the same
-//! at every pool width. Errors keep one precedence: on one line a wrong
-//! field count wins over a bad value, and across bands the first bad line
-//! in file order is the one reported.
+//! than one wave of text: never a whole chunk. Bands never reorder
+//! anything, so output bytes, parsed bits and errors are the same at every
+//! pool width. Errors keep one precedence: on one line a wrong field count
+//! wins over a bad value, and across bands the first bad line in file
+//! order is the one reported.
+//!
+//! # Float text
+//!
+//! `<f64 as Display>` and `str::parse::<f64>` define the text; the codec
+//! reaches them by its own shorter routes (the crate-private `float_text`
+//! module) and keeps std's as the references it is pinned against.
+//!
+//! * **Writing.** Every finite value is written with the shortest digits
+//!   that read back to the same bits (Ryū), laid out as `Display` lays them
+//!   out — positional, no exponent, `-0` kept — and an exact tie between
+//!   two shortest candidates rounds up, as `Display` rounds it. So the
+//!   bytes are `Display`'s. [`to_csv_string`] writes the non-finite values
+//!   only it may write through `Display` itself.
+//! * **Reading.** A record line is first read in one pass over its bytes,
+//!   with no per-field `&str`, trim or UTF-8 pass: it must be exactly the
+//!   schema's count of comma-separated plain fields `-?digits[.digits]`,
+//!   each with at most 19 digits after its leading zeros, converted exactly
+//!   (Clinger's path or Eisel–Lemire). Every other line — padding, quotes, `+`,
+//!   exponents, `inf`/`NaN`, longer mantissas, a value Eisel–Lemire leaves
+//!   undecided, any non-ASCII byte, anything malformed — is decoded and
+//!   read field by field with `str::parse`, as before. Both routes round
+//!   correctly, so the bits are `str::parse`'s; and since only the second
+//!   route can fail, every accepted spelling and every located error is
+//!   std's.
 
 use crate::chunks::RecordChunkSource;
 use crate::error::{DataError, Result};
+use crate::float_text::{parse_decimal, write_f64};
 use crate::schema::{Attribute, Schema};
 use crate::table::DataTable;
 use randrecon_linalg::parallel::{max_threads, parallel_chunks_mut, parallel_row_chunks_mut};
 use randrecon_linalg::Matrix;
-use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -65,19 +88,20 @@ pub const BAND_ROWS: usize = 256;
 /// Serializes a table to CSV text (header + one line per record). Unlike
 /// [`CsvChunkWriter`], it writes a non-finite value as `Display` shows it.
 pub fn to_csv_string(table: &DataTable) -> String {
-    let mut out = String::new();
-    push_header(&mut out, table.schema());
+    let mut header = String::new();
+    push_header(&mut header, table.schema());
+    let mut out = header.into_bytes();
     format_records(
         table.values().as_slice(),
         table.n_attributes(),
         &mut Vec::new(),
         |text| {
-            out.push_str(text);
+            out.extend_from_slice(text);
             Ok(())
         },
     )
-    .expect("appending to a String cannot fail");
-    out
+    .expect("appending to a Vec cannot fail");
+    String::from_utf8(out).expect("the header is a String and the records ASCII")
 }
 
 /// Writes a table as CSV to any writer.
@@ -116,14 +140,18 @@ fn push_header(out: &mut String, schema: &Schema) {
 
 /// Appends one record as a CSV line: its values in `Display` form,
 /// comma-separated.
-fn push_record(out: &mut String, record: &[f64]) {
-    for (j, v) in record.iter().enumerate() {
+fn push_record(out: &mut Vec<u8>, record: &[f64]) {
+    for (j, &v) in record.iter().enumerate() {
         if j > 0 {
-            out.push(',');
+            out.push(b',');
         }
-        write!(out, "{v}").expect("formatting into a String cannot fail");
+        if v.is_finite() {
+            write_f64(out, v);
+        } else {
+            write!(out, "{v}").expect("writing to a Vec cannot fail");
+        }
     }
-    out.push('\n');
+    out.push(b'\n');
 }
 
 /// Formats `values`, whole records of `m` values each, one wave of bands at
@@ -133,11 +161,11 @@ fn push_record(out: &mut String, record: &[f64]) {
 fn format_records(
     values: &[f64],
     m: usize,
-    bands: &mut Vec<String>,
-    mut emit: impl FnMut(&str) -> std::io::Result<()>,
+    bands: &mut Vec<Vec<u8>>,
+    mut emit: impl FnMut(&[u8]) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
     let band_values = BAND_ROWS * m;
-    bands.resize_with(max_threads(), String::new);
+    bands.resize_with(max_threads(), Vec::new);
     for wave in values.chunks(bands.len() * band_values) {
         let n_bands = wave.len().div_ceil(band_values);
         parallel_chunks_mut(&mut bands[..n_bands], 1, n_bands, |band, slot| {
@@ -289,6 +317,28 @@ fn parse_record(line: &str, line_no: usize, out: &mut [f64]) -> Result<()> {
         line: line_no,
         reason,
     })
+}
+
+/// Parses a record line of plain fields straight from its bytes: exactly
+/// `out.len()` comma-separated values `-?digits[.digits]` and nothing else,
+/// each one [`parse_decimal`] converts. Returns `false` on any other line,
+/// with `out` partly written; [`parse_record`] then reads the line.
+fn parse_plain_record(line: &[u8], out: &mut [f64]) -> bool {
+    let mut rest = line;
+    for (j, slot) in out.iter_mut().enumerate() {
+        if j > 0 {
+            match rest.split_first() {
+                Some((b',', tail)) => rest = tail,
+                _ => return false,
+            }
+        }
+        let Some((value, len)) = parse_decimal(rest) else {
+            return false;
+        };
+        *slot = value;
+        rest = &rest[len..];
+    }
+    rest.is_empty()
 }
 
 /// Parses `fields` (trimmed) into `out`, or gives the reason they do not
@@ -479,8 +529,11 @@ impl<R: BufRead> RecordLines<R> {
         parallel_row_chunks_mut(out, m, BAND_ROWS, bands, |first, rows| {
             for (i, row) in rows.chunks_exact_mut(m).enumerate() {
                 let span = spans[first + i];
-                let parsed = decode(&text[span.start..span.end])
-                    .and_then(|line| parse_record(line, span.line, row));
+                let line = &text[span.start..span.end];
+                if parse_plain_record(line, row) {
+                    continue;
+                }
+                let parsed = decode(line).and_then(|line| parse_record(line, span.line, row));
                 if let Err(error) = parsed {
                     // Only this update touches the slot, and it leaves it
                     // whole, so a poisoned lock still holds valid data.
@@ -621,7 +674,7 @@ pub struct CsvChunkWriter<W: Write> {
     n_attributes: usize,
     rows_written: usize,
     /// Recycled text buffers, one per band of a wave.
-    bands: Vec<String>,
+    bands: Vec<Vec<u8>>,
 }
 
 impl CsvChunkWriter<BufWriter<std::fs::File>> {
@@ -672,9 +725,7 @@ impl<W: Write> CsvChunkWriter<W> {
             });
         }
         let writer = &mut self.writer;
-        format_records(values, m, &mut self.bands, |text| {
-            writer.write_all(text.as_bytes())
-        })?;
+        format_records(values, m, &mut self.bands, |text| writer.write_all(text))?;
         self.rows_written += chunk.rows();
         Ok(())
     }

@@ -35,6 +35,7 @@
 pub mod chunks;
 pub mod csv;
 pub mod error;
+mod float_text;
 pub mod schema;
 pub mod synthetic;
 pub mod table;

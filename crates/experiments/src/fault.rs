@@ -430,17 +430,21 @@ impl WorkerHang {
 // Numerically degenerate workloads
 // ---------------------------------------------------------------------------
 
-/// A scenario whose BE-DR posterior system `Σ̂_x + Σ_r` reliably lands
-/// numerically indefinite. Fewer records (6) than attributes (8) make the
-/// sample covariance rank-deficient, so `Σ̂_x = Σ̂_y − σ²I` has exact
-/// `−σ²` eigenvalues in the null space; the tiny clip floor lifts them to
-/// `1e-12`, and recomposing through the `1e9`-scale principal eigenvalues
-/// leaves rounding of order `ε·λ_max ≈ 2e-7` — dwarfing both the floor and
-/// the `σ² = 1e-12` noise variance, so the straight Cholesky of `T` fails
-/// and the cell completes only through the escalated eigenvalue-clip SPD
-/// repair. (The true spectrum itself stays comfortably factorable:
-/// `1e-3` tails against `ε·λ_max ≈ 2e-7`, so *generation* never trips.)
-/// The graceful-degradation suites pin that such a cell finishes as
+/// A scenario whose BE-DR posterior system `Σ̂_x + Σ_r` is rank-deficient
+/// as computed, whatever way its rounding falls. Four records in sixteen
+/// attributes give a sample covariance of rank at most 3, so `Σ̂_x = Σ̂_y −
+/// σ²I` has at least 13 exact `−σ²` eigenvalues. The `1e-12` clip floor and
+/// the `σ² = 1e-12` noise variance that should lift them lie far below the
+/// rounding unit of `T`'s entries (`ε·λ_max ≈ 2e-7` next to the `1e9`-scale
+/// principal eigenvalues), so they vanish from the computed `T`, which is
+/// its rank-3 part plus rounding error. The straight Cholesky of `T` would
+/// need that error, a 13-dimensional Schur complement, to come out
+/// positive definite; it fails instead, in the default and the fused
+/// (`fma`) profiles alike (every one of 300 dataset seeds in each), and the
+/// cell completes only through the escalated eigenvalue-clip SPD repair.
+/// (The true spectrum itself stays comfortably factorable: `1e-3` tails
+/// against `ε·λ_max ≈ 2e-7`, so *generation* never trips.) The
+/// graceful-degradation suites pin that such a cell finishes as
 /// [`ScenarioOutcome::Degraded`](crate::scenario::ScenarioOutcome::Degraded)
 /// with metrics within a few percent of a well-floored run. Deterministic
 /// for a given `seed`.
@@ -449,13 +453,13 @@ pub fn near_singular_be_dr_spec(label: &str, seed: u64) -> crate::scenario::Scen
         AttackSpec, DataSpec, EngineSpec, MetricKind, NoiseSpec, ScenarioSpec, SpectrumSpec,
     };
     let mut eigenvalues = vec![1e9, 1e9];
-    eigenvalues.extend(vec![1e-3; 6]);
+    eigenvalues.extend(vec![1e-3; 14]);
     ScenarioSpec {
         label: label.to_string(),
         x: 0.0,
         data: DataSpec::SyntheticMvn {
             spectrum: SpectrumSpec::Explicit(eigenvalues),
-            records: 6,
+            records: 4,
         },
         noise: NoiseSpec::Gaussian { sigma: 1e-6 },
         attack: AttackSpec::BeDr {

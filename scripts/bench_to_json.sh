@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Runs the `micro` benchmark harness and dumps every measurement to a JSON
-# file (default BENCH_13.json at the repo root) for the perf trajectory.
+# file (default BENCH_14.json at the repo root) for the perf trajectory.
 #
 # Usage: scripts/bench_to_json.sh [output.json]
 #
@@ -20,21 +20,22 @@
 # (`sample_covariance_n1000/256` vs `sample_covariance_rowsweep_n1000/256`,
 # >=1.3x); and the `csv` codec ratios, the banded parser and formatter vs
 # the per-line and per-value seed loops on one 8192 x 64 chunk
-# (`csv_parse/8192` vs `csv_parse_seed/8192`, `csv_format/8192` vs
-# `csv_format_seed/8192`); and the `posterior` ratio, UDR's window-summed
-# uniform-noise posterior vs the full-grid reference over 20 000 values
-# (`udr_uniform/20000` vs `udr_uniform_reference/20000`, >=10x); and the
-# `mvn` ratio, one 8192 x 64 chunk drawn in one buffer and transformed in
-# place through L's lower triangle vs the two-buffer `Z * L^T` path
-# (`sample_matrix/8192` vs `sample_matrix_gebp_seed/8192`, >=1.15x).
-# BENCH_1.json … BENCH_12.json are frozen records of earlier states of the
+# (`csv_parse/8192` vs `csv_parse_seed/8192`, >=2.7x; `csv_format/8192`
+# vs `csv_format_seed/8192`, >=5.6x); and the `posterior` ratio, UDR's
+# window-summed uniform-noise posterior vs the full-grid reference over
+# 20 000 values (`udr_uniform/20000` vs `udr_uniform_reference/20000`,
+# >=10x); and the `mvn` ratio, one 8192 x 64 chunk drawn in one buffer
+# and transformed in place through L's lower triangle vs the two-buffer
+# `Z * L^T` path (`sample_matrix/8192` vs `sample_matrix_gebp_seed/8192`,
+# >=1.15x).
+# BENCH_1.json … BENCH_13.json are frozen records of earlier states of the
 # code; pass one of them as the argument only to regenerate history
 # deliberately.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_13.json}"
+out="${1:-BENCH_14.json}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
@@ -51,10 +52,20 @@ mv "$tmp" "$out"
 trap - EXIT
 echo "wrote $out"
 
-# Print the headline ratios so CI logs capture them.
+# Print the headline ratios so CI logs capture them. Every carried ratio
+# with an acceptance prints PASS or FAIL and its bound, and the last line
+# names each failing ratio. The exit status stays 0: the streaming,
+# sharding and moment-merge ratios fail on 2-core hosts until the ring and
+# the reduce are reworked (ROADMAP items 2 and 3).
 python3 - "$out" <<'EOF' 2>/dev/null || true
 import json, sys
 results = {(r["group"], r["bench"]): r["mean_ns"] for r in json.load(open(sys.argv[1]))}
+failing = []
+def verdict(name, ok, bound):
+    """PASS or FAIL and the bound, remembering each failing ratio."""
+    if not ok:
+        failing.append(name)
+    return f"{'PASS' if ok else 'FAIL'} (acceptance {bound})"
 for m in (64, 128, 256):
     new = results.get(("kernels_v2", f"eigen/{m}"))
     old = results.get(("kernels_v2", f"eigen_jacobi/{m}"))
@@ -64,11 +75,12 @@ for n in (256, 512):
     new = results.get(("kernels_v3", f"matmul_micro/{n}"))
     old = results.get(("kernels_v3", f"matmul_blocked_seed/{n}"))
     if new and old:
-        print(f"matmul {n}x{n}: axpy-blocked {old/1e6:.2f} ms -> microkernel {new/1e6:.2f} ms  ({old/new:.2f}x, acceptance >=1.5x at 512)")
+        note = "  " + verdict("microkernel", old / new >= 1.5, ">=1.5x") if n == 512 else ""
+        print(f"matmul {n}x{n}: axpy-blocked {old/1e6:.2f} ms -> microkernel {new/1e6:.2f} ms  ({old/new:.2f}x){note}")
 stream = results.get(("streaming", "be_dr_streaming/50000"))
 memory = results.get(("streaming", "be_dr_in_memory/50000"))
 if stream and memory:
-    print(f"be_dr 50k rows: in-memory {memory/1e6:.2f} ms vs streaming {stream/1e6:.2f} ms  (throughput ratio {memory/stream:.2f}x, acceptance >=0.8x)")
+    print(f"be_dr 50k rows: in-memory {memory/1e6:.2f} ms vs streaming {stream/1e6:.2f} ms  (throughput ratio {memory/stream:.3f}x)  {verdict('streaming', memory / stream >= 0.8, '>=0.8x')}")
 for scheme in ("ndr", "udr", "sf", "pca_dr", "be_dr"):
     t = results.get(("streaming", f"{scheme}_streaming/50000"))
     if t:
@@ -76,55 +88,50 @@ for scheme in ("ndr", "udr", "sf", "pca_dr", "be_dr"):
 big = results.get(("streaming", "be_dr_streaming/500000"))
 if big:
     print(f"be_dr 500k rows fully streamed: {big/1e9:.2f} s end-to-end ({500000/(big/1e9):.0f} records/s, bounded memory)")
-runner = results.get(("scenario", "runner/8"))
-hand = results.get(("scenario", "handrolled/8"))
-if runner and hand:
-    overhead = (runner - hand) / hand * 100
-    print(f"scenario runner over 8 distinct workloads: hand-rolled {hand/1e6:.2f} ms vs runner {runner/1e6:.2f} ms  (scheduling overhead {overhead:+.1f}%, acceptance <=5%)")
-journaled = results.get(("journal", "journaled/8"))
-plain = results.get(("journal", "plain/8"))
-if journaled and plain:
-    overhead = (journaled - plain) / plain * 100
-    print(f"result journal over 8 workloads: plain {plain/1e6:.2f} ms vs journaled {journaled/1e6:.2f} ms  (journaling overhead {overhead:+.1f}%, acceptance <=5%)")
-sharded = results.get(("shard", "sharded/8"))
-plain = results.get(("shard", "plain/8"))
-if sharded and plain:
-    overhead = (sharded - plain) / plain * 100
-    print(f"sharded runner over 8 workloads (2 in-process shards): plain {plain/1e6:.2f} ms vs sharded {sharded/1e6:.2f} ms  (coordination overhead {overhead:+.1f}%, acceptance <=10%)")
-supervised = results.get(("supervise", "supervised/8"))
-bare = results.get(("supervise", "sharded/8"))
-if supervised and bare:
-    overhead = (supervised - bare) / bare * 100
-    print(f"supervised sharding over 8 workloads: bare {bare/1e6:.2f} ms vs heartbeats+deadline {supervised/1e6:.2f} ms  (supervision overhead {overhead:+.1f}%, acceptance <=5%)")
-merged = results.get(("moment_merge", "merged/8"))
-never = results.get(("moment_merge", "never/8"))
-if merged and never:
-    overhead = (merged - never) / never * 100
-    print(f"moment-merged sharding over 8 streaming workloads: unsplit {never/1e6:.2f} ms vs split+merged {merged/1e6:.2f} ms  (moment-merge overhead {overhead:+.1f}%, acceptance <=10%)")
+overheads = (
+    ("scenario", "runner/8", "handrolled/8", "runner", 5,
+     "scenario runner over 8 distinct workloads: hand-rolled {old} vs runner {new}  (scheduling overhead"),
+    ("journal", "journaled/8", "plain/8", "journal", 5,
+     "result journal over 8 workloads: plain {old} vs journaled {new}  (journaling overhead"),
+    ("shard", "sharded/8", "plain/8", "shard", 10,
+     "sharded runner over 8 workloads (2 in-process shards): plain {old} vs sharded {new}  (coordination overhead"),
+    ("supervise", "supervised/8", "sharded/8", "supervise", 5,
+     "supervised sharding over 8 workloads: bare {old} vs heartbeats+deadline {new}  (supervision overhead"),
+    ("moment_merge", "merged/8", "never/8", "moment merge", 10,
+     "moment-merged sharding over 8 streaming workloads: unsplit {old} vs split+merged {new}  (moment-merge overhead"),
+)
+for group, new_bench, old_bench, name, bound, text in overheads:
+    new = results.get((group, new_bench))
+    old = results.get((group, old_bench))
+    if new and old:
+        overhead = (new - old) / old * 100
+        line = text.format(old=f"{old/1e6:.2f} ms", new=f"{new/1e6:.2f} ms")
+        print(f"{line} {overhead:+.1f}%)  {verdict(name, overhead <= bound, f'<={bound}%')}")
 for n in (50000, 500000):
     seq = results.get(("pipeline_ring", f"be_dr_sequential/{n}"))
     for depth in ("two_slot", "ring4", "ring8"):
         t = results.get(("pipeline_ring", f"be_dr_{depth}/{n}"))
         if t and seq:
-            note = "  (acceptance >=0.95x)" if (n, depth) == (50000, "ring4") else ""
-            print(f"pass-2 {depth} at {n} rows: sequential {seq/1e6:.2f} ms vs {t/1e6:.2f} ms  (throughput ratio {seq/t:.2f}x{note})")
+            note = "  " + verdict("ring", seq / t >= 0.95, ">=0.95x") if (n, depth) == (50000, "ring4") else ""
+            print(f"pass-2 {depth} at {n} rows: sequential {seq/1e6:.2f} ms vs {t/1e6:.2f} ms  (throughput ratio {seq/t:.3f}x){note}")
 for m in (128, 256):
     new = results.get(("pipeline_ring", f"sample_covariance_n1000/{m}"))
     old = results.get(("pipeline_ring", f"sample_covariance_rowsweep_n1000/{m}"))
     if new and old:
-        note = ", acceptance >=1.3x" if m == 256 else ""
-        print(f"covariance n=1000 m={m}: per-row sweep {old/1e6:.2f} ms -> blocked panels {new/1e6:.2f} ms  ({old/new:.2f}x{note})")
-for step in ("parse", "format"):
+        note = "  " + verdict("blocked covariance", old / new >= 1.3, ">=1.3x") if m == 256 else ""
+        print(f"covariance n=1000 m={m}: per-row sweep {old/1e6:.2f} ms -> blocked panels {new/1e6:.2f} ms  ({old/new:.2f}x){note}")
+for step, bound in (("parse", 2.7), ("format", 5.6)):
     new = results.get(("csv", f"csv_{step}/8192"))
     old = results.get(("csv", f"csv_{step}_seed/8192"))
     if new and old:
-        print(f"csv {step} 8192x64 chunk: seed loop {old/1e6:.2f} ms -> banded codec {new/1e6:.2f} ms  ({old/new:.2f}x)")
+        print(f"csv {step} 8192x64 chunk: seed loop {old/1e6:.2f} ms -> banded codec {new/1e6:.2f} ms  ({old/new:.2f}x)  {verdict(f'csv {step}', old / new >= bound, f'>={bound}x')}")
 new = results.get(("posterior", "udr_uniform/20000"))
 old = results.get(("posterior", "udr_uniform_reference/20000"))
 if new and old:
-    print(f"udr uniform-noise posterior, 20000 values: full grid {old/1e6:.2f} ms -> noise window {new/1e6:.2f} ms  ({old/new:.2f}x, acceptance >=10x)")
+    print(f"udr uniform-noise posterior, 20000 values: full grid {old/1e6:.2f} ms -> noise window {new/1e6:.2f} ms  ({old/new:.2f}x)  {verdict('posterior', old / new >= 10, '>=10x')}")
 new = results.get(("mvn", "sample_matrix/8192"))
 old = results.get(("mvn", "sample_matrix_gebp_seed/8192"))
 if new and old:
-    print(f"mvn 8192x64 chunk: two buffers + GEBP Z*L^T {old/1e6:.2f} ms -> one buffer, in-place triangular {new/1e6:.2f} ms  ({old/new:.2f}x, acceptance >=1.15x)")
+    print(f"mvn 8192x64 chunk: two buffers + GEBP Z*L^T {old/1e6:.2f} ms -> one buffer, in-place triangular {new/1e6:.2f} ms  ({old/new:.2f}x)  {verdict('mvn', old / new >= 1.15, '>=1.15x')}")
+print("failing carried ratios: " + (", ".join(failing) if failing else "none"))
 EOF
