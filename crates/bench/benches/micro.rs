@@ -49,6 +49,15 @@
 //!   two-buffer path it replaced (`randrecon_bench::mvn_sample_matrix_gebp_seed`:
 //!   fresh `Z`, then `Z · Lᵀ` on the blocked kernel into a second fresh
 //!   matrix): `mvn/sample_matrix_gebp_seed/8192` vs `mvn/sample_matrix/8192`.
+//! * `streaming_group` — pass 2 of one five-scheme streaming workload group
+//!   (NDR, UDR, SF, PCA-DR, BE-DR over a synthesized 20 000 × 32 stream in
+//!   2048-row chunks, Gaussian noise, each scored by MSE against the
+//!   original stream, pass-1 moments shared): the group pass
+//!   (`StreamingDriver::run_group` into one `MseSink::for_group`) against
+//!   the per-member loop it replaced
+//!   (`randrecon_bench::streaming_group_per_member_seed`), which
+//!   synthesizes both streams once per member: `streaming_group/per_member/5`
+//!   vs `streaming_group/group/5`.
 //! * `scenario`, `journal`, `shard`, `supervise`, `moment_merge` — one
 //!   8-workload grid ([`seed_grid_specs`]) through the runner vs a
 //!   hand-rolled loop (≤5% overhead), journaled vs plain (≤5%), sharded in
@@ -61,12 +70,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use randrecon_bench::{
     covariance_matrix_rowsweep_seed, csv_read_chunk_seed, csv_write_chunk_seed,
-    matmul_blocked_axpy_seed, mvn_sample_matrix_gebp_seed,
+    matmul_blocked_axpy_seed, mvn_sample_matrix_gebp_seed, streaming_group_per_member_seed,
 };
 use randrecon_core::be_dr::BeDr;
 use randrecon_core::streaming::{
-    ChunkReconstructor, DiscardSink, StreamingBeDr, StreamingDriver, StreamingNdr, StreamingPcaDr,
-    StreamingSf, StreamingUdr, TableSink,
+    CancelToken, ChunkReconstructor, DiscardSink, MseSink, StreamingBeDr, StreamingDriver,
+    StreamingNdr, StreamingPcaDr, StreamingSf, StreamingUdr, TableSink,
 };
 use randrecon_core::Reconstructor;
 use randrecon_data::chunks::{SyntheticChunkSource, TableChunkSource};
@@ -536,6 +545,62 @@ fn bench_mvn(c: &mut Criterion) {
     group.finish();
 }
 
+/// The streaming group pass against the per-member loop it replaced, over
+/// one five-scheme workload group shaped like the default grid's streaming
+/// cells (20 000 × 32, 2048-row chunks). Both sides share one pass 1 and
+/// score every member against the original stream; the loop synthesizes
+/// the disguised and the original stream once per member, the group pass
+/// once in all (`per_member/5` vs `group/5`).
+fn bench_streaming_group(c: &mut Criterion) {
+    let mut group = c.benchmark_group("streaming_group");
+    group.sample_size(10);
+    let attacks: [&dyn ChunkReconstructor; 5] = [
+        &StreamingNdr,
+        &StreamingUdr,
+        &StreamingSf::default(),
+        &StreamingPcaDr::largest_gap(),
+        &StreamingBeDr::default(),
+    ];
+    let spectrum = EigenSpectrum::principal_plus_small(8, 400.0, 32, 4.0).unwrap();
+    let original = SyntheticChunkSource::generate(&spectrum, 20_000, 2_048, 0x6E0).unwrap();
+    let mut disguised = DisguisedChunkSource::new(
+        original.clone(),
+        AdditiveRandomizer::gaussian(10.0).unwrap(),
+        0x6E1,
+    );
+    let noise = disguised.model().clone();
+    let moments = StreamingDriver::accumulate_moments(&mut disguised).unwrap();
+    let members = attacks.len();
+    group.bench_with_input(BenchmarkId::new("per_member", members), &members, |b, _| {
+        b.iter(|| {
+            black_box(
+                streaming_group_per_member_seed(&attacks, &moments, &mut disguised, &noise, || {
+                    Box::new(original.clone())
+                })
+                .unwrap(),
+            )
+        })
+    });
+    group.bench_with_input(BenchmarkId::new("group", members), &members, |b, _| {
+        b.iter(|| {
+            let mut reference = original.clone();
+            let mut sink = MseSink::for_group(&mut reference, members).unwrap();
+            StreamingDriver::default()
+                .run_group(
+                    &attacks,
+                    &moments,
+                    &mut disguised,
+                    &noise,
+                    &mut sink,
+                    &CancelToken::new(),
+                )
+                .unwrap();
+            black_box((0..members).map(|k| sink.mse_of(k)).sum::<f64>())
+        })
+    });
+    group.finish();
+}
+
 /// The 8-workload grid the runner, journal, shard, supervise and
 /// moment-merge groups share: 2 000 × 16 records on `engine`, one axis
 /// sweeping the *seed*, so every cell is its own workload group.
@@ -816,6 +881,7 @@ criterion_group!(
     bench_csv,
     bench_posterior,
     bench_mvn,
+    bench_streaming_group,
     bench_scenario_runner,
     bench_journal,
     bench_shard,

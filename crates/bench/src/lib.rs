@@ -9,13 +9,20 @@
 //! codec replaced (its bytes, bits and errors are pinned against them, on
 //! fixed tables and on fuzzed record lines), and
 //! the two-buffer MVN batch that the in-place triangular transform replaced
-//! (≥1.15× on one 8192 × 64 chunk, pinned bit for bit).
+//! (≥1.15× on one 8192 × 64 chunk, pinned bit for bit), and the
+//! per-member pass-2 loop that the streaming group pass replaced (≥2× per
+//! five-scheme group, every member's MSE pinned bit for bit).
 //! The unblocked matmul and the Jacobi eigensolver references live in
 //! `randrecon-linalg` as `matmul_naive` and `eigen_jacobi`.
 
+use randrecon_core::streaming::{
+    CancelToken, ChunkReconstructor, MseSink, StreamMoments, StreamingDriver,
+};
+use randrecon_data::chunks::RecordChunkSource;
 use randrecon_data::csv::split_csv_fields;
 use randrecon_data::{DataError, Result};
 use randrecon_linalg::Matrix;
+use randrecon_noise::NoiseModel;
 use randrecon_stats::rng::{seeded_rng, standard_normal_fill};
 use std::io::{BufRead, Lines, Write};
 
@@ -137,6 +144,39 @@ pub fn mvn_sample_matrix_gebp_seed(
     out
 }
 
+/// The per-member pass-2 loop the scenario engine ran for a streaming
+/// workload group before the group pass: for each attack in turn, a fresh
+/// original stream from `fresh_original`, a one-stream `MseSink` and a
+/// whole pass 2 over `disguised` against the shared `moments` — so every
+/// member regenerates (or rereads) both streams. Returns each member's MSE
+/// in member order, bit-identical to `StreamingDriver::run_group` scored
+/// by `MseSink::for_group`.
+pub fn streaming_group_per_member_seed<S: RecordChunkSource + Send + ?Sized>(
+    attacks: &[&dyn ChunkReconstructor],
+    moments: &StreamMoments,
+    disguised: &mut S,
+    noise: &NoiseModel,
+    mut fresh_original: impl FnMut() -> Box<dyn RecordChunkSource>,
+) -> randrecon_core::Result<Vec<f64>> {
+    let driver = StreamingDriver::default();
+    attacks
+        .iter()
+        .map(|attack| {
+            let mut reference = fresh_original();
+            let mut sink = MseSink::new(reference.as_mut())?;
+            driver.run_with_moments_cancellable(
+                *attack,
+                moments,
+                disguised,
+                noise,
+                &mut sink,
+                &CancelToken::new(),
+            )?;
+            Ok(sink.mse())
+        })
+        .collect()
+}
+
 /// The per-line CSV record loop `CsvChunkReader::next_chunk` ran before
 /// the banded codec: an owned `String` per line through `BufRead::lines`,
 /// blank lines skipped by `trim`, every record split once to count its
@@ -238,7 +278,6 @@ pub fn csv_write_chunk_seed<W: Write>(chunk: &Matrix, writer: &mut W) -> std::io
 #[cfg(test)]
 mod tests {
     use super::*;
-    use randrecon_data::chunks::RecordChunkSource;
     use randrecon_data::csv::{
         from_csv_string, to_csv_string, CsvChunkReader, CsvChunkWriter, BAND_ROWS,
     };
@@ -644,6 +683,60 @@ mod tests {
             let production = mvn.sample_matrix(n, &mut seeded_rng(17));
             let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&seed), bits(&production), "{n} x {m}");
+        }
+    }
+
+    #[test]
+    fn group_pass_equals_the_per_member_seed() {
+        use randrecon_core::streaming::{
+            StreamingBeDr, StreamingNdr, StreamingPcaDr, StreamingSf, StreamingUdr,
+        };
+        use randrecon_data::chunks::SyntheticChunkSource;
+        use randrecon_noise::additive::{AdditiveRandomizer, DisguisedChunkSource};
+        // The five schemes in the bench's order, over a small stream whose
+        // last chunk is short, under Gaussian and uniform noise.
+        let attacks: [&dyn ChunkReconstructor; 5] = [
+            &StreamingNdr,
+            &StreamingUdr,
+            &StreamingSf::default(),
+            &StreamingPcaDr::largest_gap(),
+            &StreamingBeDr::default(),
+        ];
+        let spectrum = EigenSpectrum::principal_plus_small(2, 200.0, 8, 2.0).unwrap();
+        let original = SyntheticChunkSource::generate(&spectrum, 1_000, 96, 31).unwrap();
+        for randomizer in [
+            AdditiveRandomizer::gaussian(6.0).unwrap(),
+            AdditiveRandomizer::uniform(6.0).unwrap(),
+        ] {
+            let mut disguised = DisguisedChunkSource::new(original.clone(), randomizer, 32);
+            let noise = disguised.model().clone();
+            let moments = StreamingDriver::accumulate_moments(&mut disguised).unwrap();
+            let seed =
+                streaming_group_per_member_seed(&attacks, &moments, &mut disguised, &noise, || {
+                    Box::new(original.clone())
+                })
+                .unwrap();
+            let mut reference = original.clone();
+            let mut sink = MseSink::for_group(&mut reference, attacks.len()).unwrap();
+            StreamingDriver::default()
+                .run_group(
+                    &attacks,
+                    &moments,
+                    &mut disguised,
+                    &noise,
+                    &mut sink,
+                    &CancelToken::new(),
+                )
+                .unwrap();
+            for (k, mse) in seed.iter().enumerate() {
+                assert_eq!(
+                    sink.mse_of(k).to_bits(),
+                    mse.to_bits(),
+                    "{}: group {} vs seed {mse}",
+                    attacks[k].name(),
+                    sink.mse_of(k)
+                );
+            }
         }
     }
 

@@ -136,6 +136,13 @@ pub fn spd_repair_floor(t: &Matrix) -> f64 {
 /// rebuilt system that is still indefinite falls through to the direct
 /// `T`-repair of [`cholesky_with_spd_repair`] as a last resort.
 ///
+/// A straight factor counts as failed when its smallest pivot `L[j][j]²`
+/// is at or below `(m+1)·ε·max diag(T)`, the backward-error bound of the
+/// factorization itself: such a pivot is rounding noise, and the factor
+/// certifies nothing about `T`'s definiteness (a rank-deficient `T` can
+/// factor "successfully" on noise pivots and yield a wildly wrong
+/// estimator). It takes the same repair, and the warning names the pivot.
+///
 /// Takes `Σ̂_x` by value and returns the (possibly re-clipped) estimate
 /// actually used, the factorization of its posterior system, and the
 /// warning trail (empty on the straight path).
@@ -152,24 +159,43 @@ pub fn factor_posterior_system(
         Ok(t)
     };
     let t = build(&sigma_x)?;
-    match Cholesky::new(&t) {
-        Ok(chol) => Ok((chol, sigma_x, Vec::new())),
-        Err(primary) => {
-            let floor = spd_repair_floor(&t);
-            let escalated = clip_eigenvalues(&sigma_x, floor)?;
-            let rebuilt = build(&escalated)?;
-            let (chol, mut warnings) = cholesky_with_spd_repair(&rebuilt, context)?;
-            warnings.insert(
-                0,
-                format!(
-                    "{context}: Cholesky of the posterior system failed ({primary}); \
-                     recovered via eigenvalue-clipped SPD repair of the covariance \
-                     estimate (escalated floor {floor:e})"
-                ),
-            );
-            Ok((chol, escalated, warnings))
-        }
-    }
+    let primary = match Cholesky::new(&t) {
+        Ok(chol) => match rounding_noise_pivot(&chol, &t) {
+            None => return Ok((chol, sigma_x, Vec::new())),
+            Some((pivot, value, bound)) => format!(
+                "pivot {pivot} is {value:e}, at or below the rounding bound \
+                 (m+1)·ε·max diag = {bound:e}"
+            ),
+        },
+        Err(e) => e.to_string(),
+    };
+    let floor = spd_repair_floor(&t);
+    let escalated = clip_eigenvalues(&sigma_x, floor)?;
+    let rebuilt = build(&escalated)?;
+    let (chol, mut warnings) = cholesky_with_spd_repair(&rebuilt, context)?;
+    warnings.insert(
+        0,
+        format!(
+            "{context}: Cholesky of the posterior system failed ({primary}); \
+             recovered via eigenvalue-clipped SPD repair of the covariance \
+             estimate (escalated floor {floor:e})"
+        ),
+    );
+    Ok((chol, escalated, warnings))
+}
+
+/// The smallest pivot `L[j][j]²` of `chol`, a factor of `t`, when it is at
+/// or below the Cholesky backward-error bound `(m+1)·ε·max diag(t)`:
+/// `(pivot index, pivot, bound)`.
+fn rounding_noise_pivot(chol: &Cholesky, t: &Matrix) -> Option<(usize, f64, f64)> {
+    let m = t.rows();
+    let max_diag = t.diagonal().into_iter().fold(0.0, f64::max);
+    let bound = (m + 1) as f64 * f64::EPSILON * max_diag;
+    let l = chol.l();
+    let (pivot, value) = (0..m)
+        .map(|j| (j, l.get(j, j) * l.get(j, j)))
+        .min_by(|a, b| a.1.total_cmp(&b.1))?;
+    (value <= bound).then_some((pivot, value, bound))
 }
 
 /// Records per block in the rank-update sweep: each block centers its rows

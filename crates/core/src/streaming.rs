@@ -23,6 +23,16 @@
 //!    state and pushing it into a pluggable [`RecordSink`] (in-memory
 //!    table, buffered CSV file, or a metrics-only MSE accumulator).
 //!
+//! Several attacks over the **same** stream share both passes: pass 1 runs
+//! once ([`StreamingDriver::accumulate_moments`]) and pass 2 runs once per
+//! group ([`StreamingDriver::run_group`]). The group pass prepares every
+//! member from the shared moments, reads (or generates) each chunk once,
+//! maps it through every member, and hands the sink all member outputs of
+//! the chunk together, so an [`MseSink`] scores every member against one
+//! read of the original stream. A one-member group is the single-attack
+//! pass ([`StreamingDriver::run_with_moments_cancellable`]); there is no
+//! other pass-2 path.
+//!
 //! Both passes run on the bounded **N-slot ring**
 //! (`randrecon_parallel::pipeline_ring`; pass 2 at depth
 //! [`StreamingDriver::slots`]), which decomposes a sweep into explicit
@@ -39,7 +49,9 @@
 //!   stage first *generates* its chunk (`chunk_at(i)`: MVN draws transformed
 //!   in place, then the disguise added in place), so generation runs across
 //!   the pool too. The chunk stays one buffer from draw to sink: BE-DR's
-//!   map multiplies it in place and hands the same buffer on;
+//!   map multiplies it in place and hands the same buffer on. In a group
+//!   pass the last member takes the buffer and every other member maps a
+//!   copy, so a ring item holds up to one output per member;
 //! * **sink** (pass 2) / **merge** (pass 1) — the consumer, draining on the
 //!   calling thread strictly in chunk order.
 //!
@@ -77,6 +89,7 @@ pub use randrecon_parallel::CancelToken;
 use randrecon_parallel::{default_pipeline_slots, pipeline_ring};
 use randrecon_stats::posterior::PreparedPosterior;
 use std::io::Write;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Sinks
@@ -86,6 +99,24 @@ use std::io::Write;
 pub trait RecordSink {
     /// Receives the next chunk of reconstructed records, in stream order.
     fn consume_chunk(&mut self, chunk: &Matrix) -> Result<()>;
+
+    /// Receives the next chunk of every member of a group pass
+    /// ([`StreamingDriver::run_group`]), in member order; all of them cover
+    /// the same records. The default takes a one-member group only and
+    /// hands its chunk to [`consume_chunk`](RecordSink::consume_chunk); a
+    /// sink that keeps one stream per member ([`MseSink::for_group`])
+    /// overrides it.
+    fn consume_group(&mut self, chunks: &[Matrix]) -> Result<()> {
+        match chunks {
+            [chunk] => self.consume_chunk(chunk),
+            _ => Err(ReconError::InvalidInput {
+                reason: format!(
+                    "this sink takes one reconstruction stream, not {}",
+                    chunks.len()
+                ),
+            }),
+        }
+    }
 }
 
 /// Collects the reconstruction into one in-memory matrix.
@@ -175,18 +206,37 @@ impl RecordSink for DiscardSink {
 /// The reference is reset at construction and consumed row-aligned with the
 /// reconstruction (chunk boundaries on the two sides may differ; a carry
 /// buffer of at most one reference chunk bridges them).
+///
+/// One sink scores every member of a group pass ([`MseSink::for_group`]):
+/// each reference row is read once and compared with that row of every
+/// member's output, and each member keeps its own sum, added row by row in
+/// stream order — so a member's MSE is bit-identical to the one a
+/// one-stream sink ([`MseSink::new`]) gives its attack run alone.
 pub struct MseSink<'a> {
     reference: &'a mut dyn RecordChunkSource,
     m: usize,
     carry: Option<Matrix>,
     carry_offset: usize,
-    sum_sq: f64,
+    /// One squared-error sum per member stream.
+    sum_sq: Vec<f64>,
     rows: usize,
 }
 
 impl<'a> MseSink<'a> {
-    /// Creates the sink and rewinds the reference source.
+    /// Creates the one-stream sink and rewinds the reference source.
     pub fn new(reference: &'a mut dyn RecordChunkSource) -> Result<Self> {
+        Self::for_group(reference, 1)
+    }
+
+    /// Creates a sink scoring `members` reconstruction streams (the members
+    /// of a group pass, in member order) against one read of the
+    /// reference, and rewinds the reference source.
+    pub fn for_group(reference: &'a mut dyn RecordChunkSource, members: usize) -> Result<Self> {
+        if members == 0 {
+            return Err(ReconError::InvalidInput {
+                reason: "an MSE sink needs at least one reconstruction stream".to_string(),
+            });
+        }
         reference.reset()?;
         let m = reference.n_attributes();
         Ok(MseSink {
@@ -194,24 +244,17 @@ impl<'a> MseSink<'a> {
             m,
             carry: None,
             carry_offset: 0,
-            sum_sq: 0.0,
+            sum_sq: vec![0.0; members],
             rows: 0,
         })
     }
 
-    fn accumulate_row(&mut self, row: &[f64]) -> Result<()> {
+    /// Makes `carry[carry_offset]` the next reference row, pulling the
+    /// next reference chunk when the carried one is used up.
+    fn advance_reference(&mut self) -> Result<()> {
         loop {
             if let Some(c) = &self.carry {
                 if self.carry_offset < c.rows() {
-                    let reference_row = c.row(self.carry_offset);
-                    let mut s = 0.0;
-                    for (&a, &b) in row.iter().zip(reference_row) {
-                        let d = a - b;
-                        s += d * d;
-                    }
-                    self.sum_sq += s;
-                    self.carry_offset += 1;
-                    self.rows += 1;
                     return Ok(());
                 }
             }
@@ -244,16 +287,27 @@ impl<'a> MseSink<'a> {
         self.rows
     }
 
-    /// Mean squared error per value (0 before any row arrives).
+    /// Mean squared error per value of the first (for [`MseSink::new`],
+    /// the only) stream; 0 before any row arrives.
     pub fn mse(&self) -> f64 {
+        self.mse_of(0)
+    }
+
+    /// Mean squared error per value of member stream `member` (0 before any
+    /// row arrives).
+    ///
+    /// # Panics
+    ///
+    /// If `member` is not below the sink's stream count.
+    pub fn mse_of(&self, member: usize) -> f64 {
         if self.rows == 0 {
             0.0
         } else {
-            self.sum_sq / (self.rows * self.m) as f64
+            self.sum_sq[member] / (self.rows * self.m) as f64
         }
     }
 
-    /// Root-mean-square error per value.
+    /// Root-mean-square error per value of the first stream.
     pub fn rmse(&self) -> f64 {
         self.mse().sqrt()
     }
@@ -261,17 +315,57 @@ impl<'a> MseSink<'a> {
 
 impl RecordSink for MseSink<'_> {
     fn consume_chunk(&mut self, chunk: &Matrix) -> Result<()> {
-        if chunk.cols() != self.m {
+        self.consume_group(std::slice::from_ref(chunk))
+    }
+
+    fn consume_group(&mut self, chunks: &[Matrix]) -> Result<()> {
+        if chunks.len() != self.sum_sq.len() {
             return Err(ReconError::InvalidInput {
                 reason: format!(
-                    "reconstruction chunk has {} attributes, expected {}",
-                    chunk.cols(),
-                    self.m
+                    "sink scores {} reconstruction streams, got {}",
+                    self.sum_sq.len(),
+                    chunks.len()
                 ),
             });
         }
-        for r in 0..chunk.rows() {
-            self.accumulate_row(chunk.row(r))?;
+        let rows = chunks[0].rows();
+        for chunk in chunks {
+            if chunk.cols() != self.m {
+                return Err(ReconError::InvalidInput {
+                    reason: format!(
+                        "reconstruction chunk has {} attributes, expected {}",
+                        chunk.cols(),
+                        self.m
+                    ),
+                });
+            }
+            if chunk.rows() != rows {
+                return Err(ReconError::InvalidInput {
+                    reason: format!(
+                        "member chunks of one group step have {} and {} rows",
+                        rows,
+                        chunk.rows()
+                    ),
+                });
+            }
+        }
+        for r in 0..rows {
+            self.advance_reference()?;
+            let reference_row = self
+                .carry
+                .as_ref()
+                .expect("advance_reference leaves a carried chunk")
+                .row(self.carry_offset);
+            for (sum_sq, chunk) in self.sum_sq.iter_mut().zip(chunks) {
+                let mut s = 0.0;
+                for (&a, &b) in chunk.row(r).iter().zip(reference_row) {
+                    let d = a - b;
+                    s += d * d;
+                }
+                *sum_sq += s;
+            }
+            self.carry_offset += 1;
+            self.rows += 1;
         }
         Ok(())
     }
@@ -761,6 +855,11 @@ pub struct StreamingReport {
     /// numerical failure (e.g. an eigenvalue-clipped SPD repair of
     /// `Σ̂_x + Σ_r`) instead of erroring. Deterministic for a given stream.
     pub warnings: Vec<String>,
+    /// Wall-clock seconds of pass 2 charged to this attack: its prepare
+    /// and chunk maps plus an equal share of the pass's shared work (chunk
+    /// reads or generation, the sink). A one-member pass is charged its
+    /// whole wall time. The only nondeterministic field.
+    pub seconds: f64,
 }
 
 fn validate_stream(m: usize, n: usize) -> Result<()> {
@@ -796,6 +895,11 @@ fn default_floor_from_disguised_covariance(sigma_y: &Matrix) -> f64 {
 /// byte-identical at every depth — including one slot, the inline
 /// sequential loop of [`StreamingDriver::sequential`] — and independent of
 /// the worker count.
+///
+/// Pass 2 runs once per **group** of attacks over one stream
+/// ([`run_group`](Self::run_group)): each chunk is read once and mapped
+/// through every member, so a member's output is the one its own run would
+/// produce. A single attack is the one-member group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamingDriver {
     /// Bound on pass-2 chunks in flight between read and sink; 1 runs the
@@ -825,8 +929,9 @@ impl StreamingDriver {
     /// Runs pass 1 only: sweeps the source once and returns its
     /// [`StreamMoments`]. Exposed so callers that run several attacks over
     /// the *same* stream (the five-scheme sweeps) accumulate once and share
-    /// the result via [`run_with_moments`](StreamingDriver::run_with_moments)
-    /// instead of re-sweeping per scheme.
+    /// the result via [`run_group`](StreamingDriver::run_group) (or
+    /// [`run_with_moments`](StreamingDriver::run_with_moments) for one
+    /// attack) instead of re-sweeping per scheme.
     pub fn accumulate_moments<S: RecordChunkSource + Send + ?Sized>(
         source: &mut S,
     ) -> Result<StreamMoments> {
@@ -880,7 +985,8 @@ impl StreamingDriver {
     /// before it is read (at every ring depth), so a tripped token or an
     /// expired deadline stops the sweep at the next chunk boundary with
     /// [`ReconError::Cancelled`] (wrapped in [`ReconError::AtChunk`] to
-    /// locate where the stream stopped).
+    /// locate where the stream stopped). This is the one-member
+    /// [`run_group`](StreamingDriver::run_group).
     pub fn run_with_moments_cancellable<A, S, K>(
         &self,
         attack: &A,
@@ -895,13 +1001,87 @@ impl StreamingDriver {
         S: RecordChunkSource + Send + ?Sized,
         K: RecordSink + ?Sized,
     {
+        let start = Instant::now();
+        let prepared = vec![attack.prepare(moments, noise)?];
+        let busy = vec![start.elapsed()];
+        let mut reports = self.pass_two(prepared, busy, moments, source, sink, cancel)?;
+        Ok(reports.pop().expect("a one-member pass reports once"))
+    }
+
+    /// Pass 2 once for a whole group of attacks over the same stream: every
+    /// member is prepared from the shared `moments` (in member order), the
+    /// source is swept once, each chunk is mapped through every member (the
+    /// last member takes the chunk's buffer, the others map a copy), and
+    /// the sink receives all member outputs of a chunk together through
+    /// [`RecordSink::consume_group`]. Returns one report per member, in
+    /// member order; each member's output — hence a per-member
+    /// [`MseSink::for_group`] sum — is bit-identical to a one-member run
+    /// of that attack.
+    ///
+    /// The pass stops at the first failure: a prepare error (in member
+    /// order) before any chunk is read, else the first failing map, read or
+    /// sink write, located by chunk. `cancel` is checked once per chunk, as
+    /// in [`run_with_moments_cancellable`](Self::run_with_moments_cancellable).
+    /// Each report's [`seconds`](StreamingReport::seconds) is the member's
+    /// own prepare and map time plus an equal share of the rest of the
+    /// pass's wall time (reads, generation, scoring); when the maps ran in
+    /// parallel and add up to more than the wall, the busy times are scaled
+    /// down to it, so the members' seconds always sum to the pass's wall.
+    pub fn run_group<S, K>(
+        &self,
+        attacks: &[&dyn ChunkReconstructor],
+        moments: &StreamMoments,
+        source: &mut S,
+        noise: &NoiseModel,
+        sink: &mut K,
+        cancel: &CancelToken,
+    ) -> Result<Vec<StreamingReport>>
+    where
+        S: RecordChunkSource + Send + ?Sized,
+        K: RecordSink + ?Sized,
+    {
+        if attacks.is_empty() {
+            return Err(ReconError::InvalidInput {
+                reason: "a group pass needs at least one attack".to_string(),
+            });
+        }
+        let mut prepared = Vec::with_capacity(attacks.len());
+        let mut busy = Vec::with_capacity(attacks.len());
+        for attack in attacks {
+            let start = Instant::now();
+            prepared.push(attack.prepare(moments, noise)?);
+            busy.push(start.elapsed());
+        }
+        self.pass_two(prepared, busy, moments, source, sink, cancel)
+    }
+
+    /// The one pass-2 sweep behind [`run_group`](Self::run_group) and the
+    /// single-attack runs: `prepared` holds the members' prepared attacks
+    /// and `busy` their prepare times, which ran one after another just
+    /// before the sweep, so the pass's wall time is their sum plus the
+    /// sweep's.
+    fn pass_two<S, K>(
+        &self,
+        prepared: Vec<PreparedAttack>,
+        mut busy: Vec<Duration>,
+        moments: &StreamMoments,
+        source: &mut S,
+        sink: &mut K,
+        cancel: &CancelToken,
+    ) -> Result<Vec<StreamingReport>>
+    where
+        S: RecordChunkSource + Send + ?Sized,
+        K: RecordSink + ?Sized,
+    {
         let n = moments.n_records;
-        let prepared = attack.prepare(moments, noise)?;
+        let start = Instant::now();
+        let prepare: Duration = busy.iter().sum();
+        let (last, others) = prepared.split_last().expect("a group has a member");
         // The ring's explicit stages (see [`ring_sweep`]): chunks are read
         // on the producer thread (or generated across the pool), then
         // reconstructed across the pool with up to `slots / 2` chunks in
         // flight, and sunk in chunk order on this thread. Delivery order
-        // and the per-chunk map are both independent of the depth, so the
+        // and the per-chunk maps are all independent of the depth, so the
         // sink sees the exact sequential byte stream at every slot count.
         let mut swept = 0usize;
         ring_sweep(
@@ -911,12 +1091,26 @@ impl StreamingDriver {
             at_chunk,
             |index, chunk| {
                 let rows = chunk.rows();
-                let out = prepared.map_chunk(chunk).map_err(|e| at_chunk(index, e))?;
-                Ok((rows, out))
+                let mut outputs = Vec::with_capacity(prepared.len());
+                let mut mapped = Vec::with_capacity(prepared.len());
+                let mut map = |attack: &PreparedAttack, input: Matrix| -> Result<()> {
+                    let map_start = Instant::now();
+                    outputs.push(attack.map_chunk(input).map_err(|e| at_chunk(index, e))?);
+                    mapped.push(map_start.elapsed());
+                    Ok(())
+                };
+                for attack in others {
+                    map(attack, chunk.clone())?;
+                }
+                map(last, chunk)?;
+                Ok((rows, outputs, mapped))
             },
-            |index, (rows, out)| {
+            |index, (rows, outputs, mapped)| {
                 swept += rows;
-                sink.consume_chunk(&out).map_err(|e| at_chunk(index, e))
+                for (total, t) in busy.iter_mut().zip(mapped) {
+                    *total += t;
+                }
+                sink.consume_group(&outputs).map_err(|e| at_chunk(index, e))
             },
         )?;
         if swept != n {
@@ -928,15 +1122,37 @@ impl StreamingDriver {
             });
         }
 
-        Ok(StreamingReport {
-            n_records: n,
-            n_chunks: moments.n_chunks,
-            estimated_mean: moments.mean.clone(),
-            estimated_covariance: prepared.estimated_covariance,
-            components_kept: prepared.components_kept,
-            eigenvalues: prepared.eigenvalues,
-            warnings: prepared.warnings,
-        })
+        let seconds = member_seconds(prepare + start.elapsed(), &busy);
+        Ok(prepared
+            .into_iter()
+            .zip(seconds)
+            .map(|(prepared, seconds)| StreamingReport {
+                n_records: n,
+                n_chunks: moments.n_chunks,
+                estimated_mean: moments.mean.clone(),
+                estimated_covariance: prepared.estimated_covariance,
+                components_kept: prepared.components_kept,
+                eigenvalues: prepared.eigenvalues,
+                warnings: prepared.warnings,
+                seconds,
+            })
+            .collect())
+    }
+}
+
+/// Splits a group pass's `wall` time over its members: each is charged its
+/// own `busy` time plus an equal share of what is left; busy times that add
+/// up to more than the wall (maps run in parallel) are scaled down to it.
+fn member_seconds(wall: Duration, busy: &[Duration]) -> Vec<f64> {
+    let wall = wall.as_secs_f64();
+    let total: f64 = busy.iter().map(Duration::as_secs_f64).sum();
+    if total > wall {
+        busy.iter()
+            .map(|b| wall * b.as_secs_f64() / total)
+            .collect()
+    } else {
+        let shared = (wall - total) / busy.len() as f64;
+        busy.iter().map(|b| b.as_secs_f64() + shared).collect()
     }
 }
 

@@ -33,7 +33,10 @@
 //! once per group and trial, accumulates streaming pass-1 moments once, and
 //! runs every member attack against the shared state — the expensive economy
 //! the old hand-written drivers had when they evaluated four schemes against
-//! one disguised table. Sharing does **not** extend across the noise axis:
+//! one disguised table. On the streaming engine pass 2 is shared too: one
+//! group pass synthesizes (or reads) each disguised chunk once, maps it
+//! through every member, and scores all members against one read of the
+//! original stream. Sharing does **not** extend across the noise axis:
 //! scenarios with the same pinned dataset but different noise models each
 //! regenerate the (deterministic, identical) dataset — correct but
 //! redundant work, cheap at current sizes and listed as a ROADMAP item.
@@ -85,8 +88,8 @@ use crate::workload::SharePool;
 use randrecon_core::engine::Attack;
 use randrecon_core::partial::{KnownAttributes, PartialKnowledgeBeDr};
 use randrecon_core::streaming::{
-    accumulate_moment_segments, moment_segment_count, CancelToken, MomentSegment, MseSink,
-    StreamMoments, StreamingDriver,
+    accumulate_moment_segments, moment_segment_count, CancelToken, ChunkReconstructor,
+    MomentSegment, MseSink, StreamMoments, StreamingDriver,
 };
 use randrecon_core::temporal::TemporalSmoother;
 use randrecon_core::ComponentSelection;
@@ -695,8 +698,13 @@ pub struct ScenarioResult {
     pub metrics: Vec<(MetricKind, f64)>,
     /// Principal/signal components kept (projection schemes, last trial).
     pub components_kept: Option<usize>,
-    /// Wall-clock seconds spent in this scenario's attack runs (summed over
-    /// trials; excludes workload generation shared with other scenarios).
+    /// Wall-clock seconds charged to this scenario's attack, summed over
+    /// trials; workload generation and streaming pass 1, which a workload
+    /// group shares, are excluded. On the streaming engine pass 2 runs once
+    /// per workload group, and each member is charged its own prepare and
+    /// chunk-map time plus an equal share of the pass's shared work (chunk
+    /// generation, the original stream's read, the scoring) — see
+    /// [`StreamingDriver::run_group`].
     pub seconds: f64,
     /// Graceful numerical-degradation notes accumulated across trials
     /// (deduplicated, first-appearance order). Non-empty means the attack
@@ -1079,9 +1087,10 @@ fn execute_group(
 }
 
 /// [`execute_group`] with a cooperative [`CancelToken`]: checked before each
-/// trial, before each member attack, and once per chunk inside the
-/// streaming driver's pass 2 — a tripped token (or expired deadline) stops
-/// the group at the next check with a timeout-classified error.
+/// trial, before each in-memory member attack and the streaming group pass,
+/// and once per chunk inside that pass — a tripped token (or expired
+/// deadline) stops the group at the next check with a timeout-classified
+/// error.
 fn execute_group_cancellable(
     group: &[ScenarioSpec],
     cancel: &CancelToken,
@@ -1423,12 +1432,11 @@ fn run_streaming_trial(
             )))?;
             let mut disguised = DisguisedChunkSource::new(original.clone(), randomizer, noise_seed);
             let noise = disguised.model().clone();
-            let fresh = original.clone();
             let measurements = sweep_streaming_group(
                 group,
                 &mut disguised,
                 &noise,
-                move || Ok(Box::new(fresh.clone())),
+                || Ok(Box::new(original.clone())),
                 cancel,
                 prepared,
             )?;
@@ -1448,12 +1456,11 @@ fn run_streaming_trial(
             let reader = CsvChunkReader::open(path, chunk_rows)?;
             let mut disguised = DisguisedChunkSource::new(reader, randomizer, noise_seed);
             let noise = disguised.model().clone();
-            let path = path.clone();
             let measurements = sweep_streaming_group(
                 group,
                 &mut disguised,
                 &noise,
-                move || Ok(Box::new(CsvChunkReader::open(&path, chunk_rows)?)),
+                || Ok(Box::new(CsvChunkReader::open(path, chunk_rows)?)),
                 cancel,
                 None,
             )?;
@@ -1467,19 +1474,23 @@ fn run_streaming_trial(
 
 /// Streaming pass 1 once (skipped when `prepared` moments are supplied —
 /// the coordinator's reduced cross-shard moments are bit-identical to a
-/// local pass 1), then every member attack over the shared moments, each
-/// scored by a metrics-only MSE sink against a fresh original stream.
-fn sweep_streaming_group<S, F>(
+/// local pass 1), then pass 2 once for the whole group
+/// ([`StreamingDriver::run_group`]): each chunk of the disguised stream is
+/// read or generated once and mapped through every member attack, and one
+/// [`MseSink`] scores every member against one read of the original stream
+/// (`open_original`). Each member's MSE is bit-identical to its own
+/// one-member run; the pass stops at the first member that fails, and the
+/// fail-soft runner then re-runs the members in isolation.
+fn sweep_streaming_group<S>(
     group: &[ScenarioSpec],
     disguised: &mut S,
     noise: &randrecon_noise::NoiseModel,
-    mut fresh_original: F,
+    open_original: impl FnOnce() -> Result<Box<dyn RecordChunkSource>>,
     cancel: &CancelToken,
     prepared: Option<&StreamMoments>,
 ) -> Result<Vec<TrialMeasurement>>
 where
     S: RecordChunkSource + Send + ?Sized,
-    F: FnMut() -> Result<Box<dyn RecordChunkSource>>,
 {
     if cancel.is_cancelled() {
         return Err(cancelled_error());
@@ -1492,45 +1503,40 @@ where
             &computed
         }
     };
-    let driver = StreamingDriver::default();
-    let mut out = Vec::with_capacity(group.len());
-    for spec in group {
-        if cancel.is_cancelled() {
-            return Err(cancelled_error());
-        }
-        let chunk_attack = spec.attack.core_attack()?.chunk_reconstructor()?;
-        let mut reference = fresh_original()?;
-        let start = Instant::now();
-        let mut sink = MseSink::new(reference.as_mut())?;
-        let report = driver.run_with_moments_cancellable(
-            chunk_attack.as_ref(),
-            moments,
-            disguised,
-            noise,
-            &mut sink,
-            cancel,
-        )?;
-        let seconds = start.elapsed().as_secs_f64();
-        let mse_value = sink.mse();
-        let metrics = spec
-            .metrics
-            .iter()
-            .map(|kind| match kind {
-                MetricKind::Mse => mse_value,
-                MetricKind::Rmse => mse_value.sqrt(),
-                // Rejected by validation before execution.
-                MetricKind::NormalizedRmse => f64::NAN,
-            })
-            .collect();
-        out.push(TrialMeasurement {
-            metrics,
-            components_kept: report.components_kept,
-            seconds,
-            n_records: report.n_records,
-            warnings: report.warnings,
-        });
-    }
-    Ok(out)
+    let attacks = group
+        .iter()
+        .map(|spec| Ok(spec.attack.core_attack()?.chunk_reconstructor()?))
+        .collect::<Result<Vec<_>>>()?;
+    let members: Vec<&dyn ChunkReconstructor> = attacks.iter().map(AsRef::as_ref).collect();
+    let mut original = open_original()?;
+    let mut sink = MseSink::for_group(original.as_mut(), members.len())?;
+    let reports = StreamingDriver::default()
+        .run_group(&members, moments, disguised, noise, &mut sink, cancel)?;
+    Ok(group
+        .iter()
+        .zip(reports)
+        .enumerate()
+        .map(|(member, (spec, report))| {
+            let mse_value = sink.mse_of(member);
+            let metrics = spec
+                .metrics
+                .iter()
+                .map(|kind| match kind {
+                    MetricKind::Mse => mse_value,
+                    MetricKind::Rmse => mse_value.sqrt(),
+                    // Rejected by validation before execution.
+                    MetricKind::NormalizedRmse => f64::NAN,
+                })
+                .collect();
+            TrialMeasurement {
+                metrics,
+                components_kept: report.components_kept,
+                seconds: report.seconds,
+                n_records: report.n_records,
+                warnings: report.warnings,
+            }
+        })
+        .collect())
 }
 
 // ---------------------------------------------------------------------------

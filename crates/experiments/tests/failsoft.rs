@@ -302,3 +302,74 @@ fn malformed_chunks_are_rejected_not_reconstructed() {
         "malformed chunk not located: {err}"
     );
 }
+
+/// Pass 2 runs once per streaming workload group, so one member that fails
+/// mid-stream stops the shared pass. Here UDR under uniform noise meets a
+/// CSV stream whose single outlier (1e4 at record 500 of attribute 1) lifts
+/// that attribute's prior so far that ordinary values get no posterior
+/// mass. Every cell must still come out exactly as its isolated run: the
+/// other four schemes `Completed` with the same bits, and UDR `Failed` with
+/// the same located error text.
+#[test]
+fn group_pass_fail_soft_keeps_every_cell_at_its_isolated_outcome() {
+    use randrecon_experiments::scenario::{
+        DataSpec, EngineSpec, GridAxis, NoiseSpec, ScenarioGrid,
+    };
+    let mut rng = seeded_rng(2201);
+    let mut values = randrecon_linalg::Matrix::from_fn(1_000, 2, |_, _| {
+        randrecon_stats::rng::standard_normal(&mut rng)
+    });
+    values.set(500, 1, 1e4);
+    let table = randrecon_data::DataTable::from_matrix(values).unwrap();
+    let path = std::env::temp_dir().join(format!(
+        "randrecon_group_pass_outlier_{}.csv",
+        std::process::id()
+    ));
+    randrecon_data::csv::write_csv_file(&table, &path).unwrap();
+
+    let mut base = ScenarioSpec::synthetic_quick("outlier", 1_000, 2, 1);
+    base.data = DataSpec::Csv { path: path.clone() };
+    base.noise = NoiseSpec::Uniform { sigma: 1.0 };
+    base.engine = EngineSpec::Streaming { chunk_rows: 128 };
+    let specs = ScenarioGrid {
+        base,
+        axes: vec![GridAxis::schemes(&SchemeKind::all())],
+    }
+    .expand_validated()
+    .unwrap();
+    assert_eq!(specs.len(), 5);
+
+    let grouped = run_scenarios_failsoft(&specs, RetryPolicy::default()).unwrap();
+    for (spec, outcome) in specs.iter().zip(&grouped) {
+        let isolated =
+            run_scenarios_failsoft(std::slice::from_ref(spec), RetryPolicy::default()).unwrap();
+        match (outcome, &isolated[0]) {
+            (ScenarioOutcome::Failed(a), ScenarioOutcome::Failed(b)) => {
+                assert_eq!(spec.attack, AttackSpec::Scheme(SchemeKind::Udr));
+                assert_eq!(a.error, b.error, "{}", spec.label);
+                assert!(
+                    a.error.contains("at chunk") && a.error.contains("attribute 1"),
+                    "{}: {}",
+                    spec.label,
+                    a.error
+                );
+            }
+            (ScenarioOutcome::Completed(a), ScenarioOutcome::Completed(b)) => {
+                assert_ne!(spec.attack, AttackSpec::Scheme(SchemeKind::Udr));
+                let bits = |r: &randrecon_experiments::scenario::ScenarioResult| {
+                    r.metrics
+                        .iter()
+                        .map(|(k, v)| (*k, v.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(a), bits(b), "{}", spec.label);
+                assert_eq!(a.components_kept, b.components_kept, "{}", spec.label);
+                assert_eq!(a.warnings, b.warnings, "{}", spec.label);
+            }
+            (grouped, isolated) => {
+                panic!("{}: grouped {grouped:?}, isolated {isolated:?}", spec.label)
+            }
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}

@@ -162,3 +162,40 @@ fn near_singular_cell_degrades_with_mse_close_to_spd_path() {
         relative * 100.0
     );
 }
+
+/// The earlier near-singular fixture — 6 records in 8 attributes, a
+/// `1e9`/`1e-3` spectrum, floor `1e-12`, σ = `1e-6` — leaves `T = Σ̂_x + Σ_r`
+/// rank-deficient as computed but, on some seeds, rounded so that the
+/// straight Cholesky succeeds on pivots of pure rounding noise. Such a
+/// factor must count as failed (its smallest pivot lies within the
+/// `(m+1)·ε·max diag(T)` backward-error bound), so every seed degrades
+/// through the repair with a warning that names the pivot, in the default
+/// and the fused (`fma`) profile alike.
+#[test]
+fn noise_pivot_factors_degrade_on_every_seed() {
+    let failures: Vec<String> = (0..40u64)
+        .filter_map(|seed| {
+            let mut spec = near_singular_be_dr_spec("six-by-eight", seed);
+            let mut eigenvalues = vec![1e9, 1e9];
+            eigenvalues.extend(vec![1e-3; 6]);
+            spec.data = randrecon_experiments::scenario::DataSpec::SyntheticMvn {
+                spectrum: randrecon_experiments::scenario::SpectrumSpec::Explicit(eigenvalues),
+                records: 6,
+            };
+            let outcomes =
+                run_scenarios_failsoft(std::slice::from_ref(&spec), RetryPolicy::default())
+                    .unwrap();
+            match &outcomes[0] {
+                ScenarioOutcome::Degraded(r)
+                    if r.warnings
+                        .iter()
+                        .any(|w| w.contains("SPD repair") && w.contains("pivot")) =>
+                {
+                    None
+                }
+                other => Some(format!("seed {seed}: {other:?}")),
+            }
+        })
+        .collect();
+    assert!(failures.is_empty(), "{failures:#?}");
+}

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Runs the `micro` benchmark harness and dumps every measurement to a JSON
-# file (default BENCH_14.json at the repo root) for the perf trajectory.
+# file (default BENCH_15.json at the repo root) for the perf trajectory.
 #
 # Usage: scripts/bench_to_json.sh [output.json]
 #
@@ -27,15 +27,17 @@
 # >=10x); and the `mvn` ratio, one 8192 x 64 chunk drawn in one buffer
 # and transformed in place through L's lower triangle vs the two-buffer
 # `Z * L^T` path (`sample_matrix/8192` vs `sample_matrix_gebp_seed/8192`,
-# >=1.15x).
-# BENCH_1.json … BENCH_13.json are frozen records of earlier states of the
+# >=1.15x); and the `streaming_group` ratio, pass 2 of one five-scheme
+# streaming workload group as one group pass vs the per-member loop it
+# replaced (`per_member/5` vs `group/5`, >=2x).
+# BENCH_1.json … BENCH_14.json are frozen records of earlier states of the
 # code; pass one of them as the argument only to regenerate history
 # deliberately.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_14.json}"
+out="${1:-BENCH_15.json}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
@@ -133,5 +135,9 @@ new = results.get(("mvn", "sample_matrix/8192"))
 old = results.get(("mvn", "sample_matrix_gebp_seed/8192"))
 if new and old:
     print(f"mvn 8192x64 chunk: two buffers + GEBP Z*L^T {old/1e6:.2f} ms -> one buffer, in-place triangular {new/1e6:.2f} ms  ({old/new:.2f}x)  {verdict('mvn', old / new >= 1.15, '>=1.15x')}")
+new = results.get(("streaming_group", "group/5"))
+old = results.get(("streaming_group", "per_member/5"))
+if new and old:
+    print(f"streaming group pass, 5 schemes over one 20000x32 stream: per-member loop {old/1e6:.2f} ms -> group pass {new/1e6:.2f} ms  ({old/new:.2f}x)  {verdict('streaming group', old / new >= 2, '>=2x')}")
 print("failing carried ratios: " + (", ".join(failing) if failing else "none"))
 EOF
