@@ -39,10 +39,14 @@
 //!   `csv_write_chunk_seed`): `csv_parse_seed/8192` vs `csv_parse/8192` and
 //!   `csv_format_seed/8192` vs `csv_format/8192` are the two codec ratios.
 //! * `posterior` — UDR's uniform-noise posterior mean over one attribute
-//!   of 20 000 disguised values (σx = 20, σr = 10): the prepared,
-//!   window-summed quadrature (`PreparedPosterior`, preparation included)
-//!   against the full 600-point `grid_posterior_mean` per value that it is
-//!   pinned to (`udr_uniform_reference/20000` vs `udr_uniform/20000`).
+//!   of 20 000 disguised values (σx = 20, σr = 10): the prepared window
+//!   table (`PreparedPosterior`, preparation included) against the full
+//!   600-point `grid_posterior_mean` per value that it is pinned to
+//!   (`udr_uniform_reference/20000` vs `udr_uniform/20000`, ≥10×) and
+//!   against the per-value window loop it replaced, two binary searches and
+//!   a window fold per value (`randrecon_bench::udr_window_sum_seed`,
+//!   preparation included): `udr_uniform_window_seed/20000` vs
+//!   `udr_uniform/20000`, ≥4×.
 //! * `mvn` — one 8192 × 64 synthetic chunk drawn by
 //!   `MultivariateNormal::sample_matrix` (one buffer, ziggurat draws
 //!   transformed in place through `L`'s lower triangle) against the
@@ -71,6 +75,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use randrecon_bench::{
     covariance_matrix_rowsweep_seed, csv_read_chunk_seed, csv_write_chunk_seed,
     matmul_blocked_axpy_seed, mvn_sample_matrix_gebp_seed, streaming_group_per_member_seed,
+    udr_bench_values, udr_window_sum_seed, UDR_BENCH_MOMENTS,
 };
 use randrecon_core::be_dr::BeDr;
 use randrecon_core::streaming::{
@@ -467,17 +472,15 @@ const POSTERIOR_VALUES: usize = 20_000;
 
 /// UDR's posterior mean under uniform noise for one attribute, σx = 20
 /// against σr = 10: the prepared quadrature (prepared once per run, as UDR
-/// prepares it once per attribute) against the per-value reference.
+/// prepares it once per attribute) against the per-value reference and
+/// against the per-value window loop it replaced.
 fn bench_posterior(c: &mut Criterion) {
     let mut group = c.benchmark_group("posterior");
     group.sample_size(10);
-    let (mean_x, var_x, var_r): (f64, f64, f64) = (5.0, 400.0, 100.0);
+    let (mean_x, var_x, var_r) = UDR_BENCH_MOMENTS;
     let prior = Normal::new(mean_x, var_x.sqrt()).unwrap();
     let noise = Uniform::centered_with_std(var_r.sqrt()).unwrap();
-    let mut rng = seeded_rng(POSTERIOR_VALUES as u64);
-    let values: Vec<f64> = (0..POSTERIOR_VALUES)
-        .map(|_| prior.sample(&mut rng) + noise.sample(&mut rng))
-        .collect();
+    let values = udr_bench_values(POSTERIOR_VALUES);
     let span = 6.0 * (var_x.sqrt() + var_r.sqrt());
 
     group.bench_with_input(
@@ -493,6 +496,13 @@ fn bench_posterior(c: &mut Criterion) {
                     .collect();
                 black_box(estimates)
             })
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new("udr_uniform_window_seed", POSTERIOR_VALUES),
+        &values,
+        |b, values| {
+            b.iter(|| black_box(udr_window_sum_seed(mean_x, var_x, var_r, values).unwrap()))
         },
     );
     group.bench_with_input(

@@ -11,7 +11,9 @@
 //! the two-buffer MVN batch that the in-place triangular transform replaced
 //! (≥1.15× on one 8192 × 64 chunk, pinned bit for bit), and the
 //! per-member pass-2 loop that the streaming group pass replaced (≥2× per
-//! five-scheme group, every member's MSE pinned bit for bit).
+//! five-scheme group, every member's MSE pinned bit for bit), and UDR's
+//! per-value window loop that the window table replaced (≥4× over one
+//! attribute of 20 000 values, pinned bit for bit).
 //! The unblocked matmul and the Jacobi eigensolver references live in
 //! `randrecon-linalg` as `matmul_naive` and `eigen_jacobi`.
 
@@ -23,7 +25,9 @@ use randrecon_data::csv::split_csv_fields;
 use randrecon_data::{DataError, Result};
 use randrecon_linalg::Matrix;
 use randrecon_noise::NoiseModel;
+use randrecon_stats::distributions::{ContinuousDistribution, Normal, Uniform};
 use randrecon_stats::rng::{seeded_rng, standard_normal_fill};
+use randrecon_stats::StatsError;
 use std::io::{BufRead, Lines, Write};
 
 /// Pre-blocking rank-update covariance: the PR-1…PR-9 single-pass sweep —
@@ -177,6 +181,86 @@ pub fn streaming_group_per_member_seed<S: RecordChunkSource + Send + ?Sized>(
         .collect()
 }
 
+/// The `posterior` micro-bench group's attribute: prior mean, prior
+/// variance and noise variance (σx = 20 against σr = 10).
+pub const UDR_BENCH_MOMENTS: (f64, f64, f64) = (5.0, 400.0, 100.0);
+
+/// `n` values of the `posterior` group's attribute: draws from its prior
+/// disguised with uniform noise of its variance, from `seeded_rng(n)`.
+pub fn udr_bench_values(n: usize) -> Vec<f64> {
+    let (mean_x, var_x, var_r) = UDR_BENCH_MOMENTS;
+    let prior = Normal::new(mean_x, var_x.sqrt()).expect("valid prior");
+    let noise = Uniform::centered_with_std(var_r.sqrt()).expect("valid noise");
+    let mut rng = seeded_rng(n as u64);
+    (0..n)
+        .map(|_| prior.sample(&mut rng) + noise.sample(&mut rng))
+        .collect()
+}
+
+/// UDR's uniform-noise posterior as the per-value window loop answered it
+/// before the window table: the 600-point grid over ±6(σx + σr) and its
+/// prior weights `w_trap · prior.pdf(x)` tabulated once, then for each
+/// value two binary searches with the uniform pdf's own predicate for its
+/// noise window and an ascending fold of `x · w` and `w = prior weight ·
+/// density` over the window. Answers `values` for the prior
+/// `N(mean_x, var_x)` (`var_x > 0`) under uniform noise of variance
+/// `var_r`, bit-identical to `PreparedPosterior::gaussian_moments(mean_x,
+/// var_x, var_r, false)` applied value by value, errors included.
+pub fn udr_window_sum_seed(
+    mean_x: f64,
+    var_x: f64,
+    var_r: f64,
+    values: &[f64],
+) -> randrecon_stats::Result<Vec<f64>> {
+    const GRID_POINTS: usize = 600;
+    let sigma_r = var_r.sqrt();
+    let prior = Normal::new(mean_x, var_x.sqrt())?;
+    let noise = Uniform::centered_with_std(sigma_r)?;
+    let span = 6.0 * (var_x.sqrt() + sigma_r);
+    let (low, high) = (mean_x - span, mean_x + span);
+    let h = (high - low) / (GRID_POINTS - 1) as f64;
+    let abscissae: Vec<f64> = (0..GRID_POINTS).map(|i| low + i as f64 * h).collect();
+    let prior_weights: Vec<f64> = abscissae
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| {
+            let w_trap = if i == 0 || i == GRID_POINTS - 1 {
+                0.5
+            } else {
+                1.0
+            };
+            w_trap * prior.pdf(x)
+        })
+        .collect();
+    let density = noise.pdf(noise.mean());
+    let (lo, hi) = (noise.low(), noise.high());
+    values
+        .iter()
+        .map(|&y| {
+            let end = abscissae.partition_point(|&x| y - x >= lo);
+            let start = abscissae[..end].partition_point(|&x| y - x >= hi);
+            let mut num = 0.0;
+            let mut den = 0.0;
+            for (&x, &prior_weight) in abscissae[start..end].iter().zip(&prior_weights[start..end])
+            {
+                let w = prior_weight * density;
+                num += x * w;
+                den += w;
+            }
+            if den <= f64::MIN_POSITIVE {
+                return Err(StatsError::ZeroPosteriorMass {
+                    value: y,
+                    low,
+                    high,
+                    spacing: h,
+                    noise_window: Some(hi - lo),
+                });
+            }
+            Ok(num / den)
+        })
+        .collect()
+}
+
 /// The per-line CSV record loop `CsvChunkReader::next_chunk` ran before
 /// the banded codec: an owned `String` per line through `BufRead::lines`,
 /// blank lines skipped by `trim`, every record split once to count its
@@ -284,6 +368,26 @@ mod tests {
     use randrecon_data::synthetic::{EigenSpectrum, SyntheticDataset};
     use randrecon_data::{DataTable, Schema};
     use randrecon_linalg::parallel::max_threads;
+    use randrecon_stats::posterior::PreparedPosterior;
+
+    #[test]
+    fn udr_window_sum_seed_equals_the_prepared_posterior_bit_for_bit() {
+        let (mean_x, var_x, var_r) = UDR_BENCH_MOMENTS;
+        let values = udr_bench_values(20_000);
+        let seed = udr_window_sum_seed(mean_x, var_x, var_r, &values).unwrap();
+        let posterior = PreparedPosterior::gaussian_moments(mean_x, var_x, var_r, false).unwrap();
+        for (i, (&y, want)) in values.iter().zip(&seed).enumerate() {
+            let got = posterior.apply(y).unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "value {i}: y = {y}");
+        }
+        // Beyond the grid, and at NaN, both fail with the same zero-mass
+        // error (compared as text: NaN is not equal to itself).
+        for y in [1e6, f64::NAN] {
+            let seed = udr_window_sum_seed(mean_x, var_x, var_r, &[y]).unwrap_err();
+            let got = posterior.apply(y).unwrap_err();
+            assert_eq!(format!("{got:?}"), format!("{seed:?}"), "y = {y}");
+        }
+    }
 
     #[test]
     fn rowsweep_covariance_is_bit_identical_to_the_blocked_kernel() {

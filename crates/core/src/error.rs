@@ -53,6 +53,15 @@ pub enum ReconError {
         /// The underlying failure.
         source: StatsError,
     },
+    /// A per-attribute failure located at its column: UDR's posterior
+    /// preparation refusing an attribute's moments (a NaN or ±∞ among its
+    /// values makes its mean non-finite).
+    AtAttribute {
+        /// 0-based attribute (column) index.
+        attribute: usize,
+        /// The underlying failure.
+        source: StatsError,
+    },
     /// The computation was cancelled cooperatively — a deadline expired or a
     /// caller tripped the [`randrecon_parallel::CancelToken`] threaded
     /// through the streaming driver. Checked once per chunk, so a runaway
@@ -100,6 +109,9 @@ impl fmt::Display for ReconError {
                 row,
                 source,
             } => write!(f, "attribute {attribute}, row {row}: {source}"),
+            ReconError::AtAttribute { attribute, source } => {
+                write!(f, "attribute {attribute}: {source}")
+            }
             ReconError::Cancelled { reason } => write!(f, "cancelled: {reason}"),
             ReconError::Linalg(e) => write!(f, "linear algebra error: {e}"),
             ReconError::Stats(e) => write!(f, "statistics error: {e}"),
@@ -114,6 +126,7 @@ impl std::error::Error for ReconError {
         match self {
             ReconError::AtChunk { source, .. } => Some(source.as_ref()),
             ReconError::AtValue { source, .. } => Some(source),
+            ReconError::AtAttribute { source, .. } => Some(source),
             ReconError::Linalg(e) => Some(e),
             ReconError::Stats(e) => Some(e),
             ReconError::Data(e) => Some(e),

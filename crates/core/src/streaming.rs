@@ -87,7 +87,7 @@ use randrecon_linalg::Matrix;
 use randrecon_noise::NoiseModel;
 pub use randrecon_parallel::CancelToken;
 use randrecon_parallel::{default_pipeline_slots, pipeline_ring};
-use randrecon_stats::posterior::PreparedPosterior;
+use randrecon_stats::posterior::{prior_variance, PreparedPosterior};
 use std::io::Write;
 use std::time::{Duration, Instant};
 
@@ -1187,9 +1187,11 @@ impl ChunkReconstructor for StreamingNdr {
 /// in-memory [`crate::udr::Udr`] estimates, read off the accumulated
 /// moments instead of materialized columns); pass 2 maps every value
 /// through its attribute's posterior mean. Gaussian noise takes the
-/// closed-form shrinkage, uniform noise the grid-quadrature path. A value
-/// the posterior cannot answer fails as [`ReconError::AtValue`], naming its
-/// attribute and its row within the chunk.
+/// closed-form shrinkage, uniform noise the grid-quadrature path. Moments
+/// the posterior refuses (a non-finite value in the stream) fail as
+/// [`ReconError::AtAttribute`], and a value it cannot answer as
+/// [`ReconError::AtValue`], naming its attribute and its row within the
+/// chunk.
 ///
 /// The Agrawal–Srikant prior is deliberately absent here: it needs the full
 /// empirical distribution of each attribute, not just moments, so it does
@@ -1209,14 +1211,20 @@ impl ChunkReconstructor for StreamingUdr {
         let mut prior_variances = Vec::with_capacity(m);
         for j in 0..m {
             let noise_variance = noise.marginal_variance(j, m)?;
-            let var_x = (moments.covariance.get(j, j) - noise_variance).max(0.0);
+            let var_x = prior_variance(moments.covariance.get(j, j), noise_variance);
             prior_variances.push(var_x);
-            posteriors.push(PreparedPosterior::gaussian_moments(
-                moments.mean[j],
-                var_x,
-                noise_variance,
-                gaussian_noise,
-            )?);
+            posteriors.push(
+                PreparedPosterior::gaussian_moments(
+                    moments.mean[j],
+                    var_x,
+                    noise_variance,
+                    gaussian_noise,
+                )
+                .map_err(|source| ReconError::AtAttribute {
+                    attribute: j,
+                    source,
+                })?,
+            );
         }
         Ok(PreparedAttack::new(
             Matrix::from_diag(&prior_variances),

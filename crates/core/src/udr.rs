@@ -27,7 +27,7 @@ use randrecon_data::DataTable;
 use randrecon_linalg::Matrix;
 use randrecon_noise::NoiseModel;
 use randrecon_stats::distributions::{Normal, Uniform};
-use randrecon_stats::posterior::{histogram_posterior_mean, PreparedPosterior};
+use randrecon_stats::posterior::{histogram_posterior_mean, prior_variance, PreparedPosterior};
 use randrecon_stats::reconstruction::{reconstruct_distribution, ReconstructionConfig};
 use randrecon_stats::summary;
 
@@ -82,11 +82,13 @@ impl Udr {
                 // noise, and the best guess is the mean. The prepared
                 // posterior (closed-form shrinkage for Gaussian noise, a
                 // tabulated grid quadrature for uniform) is the same kernel
-                // the streaming UDR maps over chunks. A value it cannot
-                // answer fails located at its record.
-                let var_x = (summary::variance(column) - noise_variance).max(0.0);
+                // the streaming UDR maps over chunks. Moments it refuses (a
+                // non-finite value in the column) fail located at the
+                // attribute, and a value it cannot answer at its record.
+                let var_x = prior_variance(summary::variance(column), noise_variance);
                 let posterior =
-                    PreparedPosterior::gaussian_moments(mu, var_x, noise_variance, gaussian_noise)?;
+                    PreparedPosterior::gaussian_moments(mu, var_x, noise_variance, gaussian_noise)
+                        .map_err(|source| ReconError::AtAttribute { attribute, source })?;
                 column
                     .iter()
                     .enumerate()

@@ -1625,6 +1625,21 @@ pub struct ScenarioFailure {
 }
 
 impl ScenarioFailure {
+    /// A failure of `spec` that is neither transient nor a timeout, after
+    /// `attempts` attempts: how a panic that escaped a group's containment,
+    /// or a cell no shard journal holds, is reported.
+    pub(crate) fn deterministic(spec: &ScenarioSpec, error: String, attempts: u32) -> Self {
+        ScenarioFailure {
+            label: spec.label.clone(),
+            attack: spec.attack.label(),
+            engine: spec.engine.label(),
+            error,
+            transient: false,
+            timed_out: false,
+            attempts,
+        }
+    }
+
     /// The failure-classification label reports render: `timed-out`,
     /// `transient`, or `deterministic`.
     pub fn classification(&self) -> &'static str {
@@ -1925,15 +1940,11 @@ where
             // reported failed rather than silently dropped.
             Err(panic_msg) => {
                 for &i in set {
-                    out[i] = Some(ScenarioOutcome::Failed(ScenarioFailure {
-                        label: specs[i].label.clone(),
-                        attack: specs[i].attack.label(),
-                        engine: specs[i].engine.label(),
-                        error: format!("panic: {panic_msg}"),
-                        transient: false,
-                        timed_out: false,
-                        attempts: 1,
-                    }));
+                    out[i] = Some(ScenarioOutcome::Failed(ScenarioFailure::deterministic(
+                        &specs[i],
+                        format!("panic: {panic_msg}"),
+                        1,
+                    )));
                 }
             }
         }

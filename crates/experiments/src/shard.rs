@@ -772,17 +772,13 @@ fn fill_missing_cells(
         .map(|(slot, spec)| {
             slot.unwrap_or_else(|| {
                 missing += 1;
-                ScenarioOutcome::Failed(ScenarioFailure {
-                    label: spec.label.clone(),
-                    attack: spec.attack.label(),
-                    engine: spec.engine.label(),
-                    error: "cell not recovered from any shard journal (worker exhausted \
-                            restarts before journaling it)"
+                ScenarioOutcome::Failed(ScenarioFailure::deterministic(
+                    spec,
+                    "cell not recovered from any shard journal (worker exhausted \
+                     restarts before journaling it)"
                         .to_string(),
-                    transient: false,
-                    timed_out: false,
-                    attempts: 0,
-                })
+                    0,
+                ))
             })
         })
         .collect();
@@ -819,7 +815,11 @@ fn assemble_group_moments(
 /// [`StreamMoments`] (the same two-level fixed-segment fold a
 /// single-process pass runs, so the reduced moments are **bit-identical**
 /// to local accumulation), and finishes the split groups' cells
-/// coordinator-side against those moments. A split group whose partials
+/// coordinator-side against those moments. The split groups run on the
+/// shared pool through the fail-soft `parallel_map_catch` (inline on one
+/// thread); each lands its outcomes by global index, so the schedule cannot
+/// move a bit, and a group that panics reports its members `Failed`,
+/// naming the group's leader. A split group whose partials
 /// are incomplete — some shard exhausted its restarts mid-task — falls
 /// back to a self-computing group run: slower, but bit-identical. Cells no
 /// journal and no group run produced surface as `Failed`; the second
@@ -859,17 +859,34 @@ pub fn reduce_shard_journals(
         // noise/attack still build each trial dataset once here.
         let member_sets: Vec<Vec<usize>> = plan.split.iter().map(|g| g.members.clone()).collect();
         let pool = DatasetPool::new(data_group_consumers(specs, &member_sets));
-        for group in &plan.split {
+        let group_outcomes = randrecon_parallel::parallel_map_catch(&plan.split, |group| {
             let members: Vec<ScenarioSpec> =
                 group.members.iter().map(|&i| specs[i].clone()).collect();
-            let outcomes = match assemble_group_moments(group, &segments) {
+            match assemble_group_moments(group, &segments) {
                 Some(moments) => {
                     execute_group_failsoft_with_moments(&members, &moments, policy, Some(&pool))
                 }
                 None => execute_group_failsoft(&members, policy, Some(&pool)),
-            };
-            for (&global, outcome) in group.members.iter().zip(outcomes) {
-                slots[global] = Some(outcome);
+            }
+        });
+        for (group, outcomes) in plan.split.iter().zip(group_outcomes) {
+            match outcomes {
+                Ok(outcomes) => {
+                    for (&global, outcome) in group.members.iter().zip(outcomes) {
+                        slots[global] = Some(outcome);
+                    }
+                }
+                Err(panic) => {
+                    let error = format!(
+                        "panic in the split group led by cell {}: {panic}",
+                        group.leader
+                    );
+                    for &global in &group.members {
+                        slots[global] = Some(ScenarioOutcome::Failed(
+                            ScenarioFailure::deterministic(&specs[global], error.clone(), 1),
+                        ));
+                    }
+                }
             }
         }
     }

@@ -43,9 +43,17 @@ pub struct Normal {
 }
 
 impl Normal {
-    /// Creates a normal distribution; `std_dev` must be positive and finite.
+    /// Creates a normal distribution; `mean` must be finite and `std_dev`
+    /// positive and finite. The error names the parameter at fault.
     pub fn new(mean: f64, std_dev: f64) -> Result<Self> {
-        if !(std_dev > 0.0 && std_dev.is_finite() && mean.is_finite()) {
+        if !mean.is_finite() {
+            return Err(StatsError::InvalidParameter {
+                name: "mean",
+                value: mean,
+                requirement: "finite",
+            });
+        }
+        if !(std_dev > 0.0 && std_dev.is_finite()) {
             return Err(StatsError::InvalidParameter {
                 name: "std_dev",
                 value: std_dev,
@@ -252,7 +260,20 @@ mod tests {
     fn normal_rejects_bad_params() {
         assert!(Normal::new(0.0, 0.0).is_err());
         assert!(Normal::new(0.0, -1.0).is_err());
-        assert!(Normal::new(f64::NAN, 1.0).is_err());
+        // The error names the parameter at fault.
+        for (mean, std_dev, name) in [
+            (f64::NAN, 1.0, "mean"),
+            (f64::INFINITY, 1.0, "mean"),
+            (0.0, f64::NAN, "std_dev"),
+        ] {
+            assert!(
+                matches!(
+                    Normal::new(mean, std_dev),
+                    Err(StatsError::InvalidParameter { name: n, .. }) if n == name
+                ),
+                "N({mean}, {std_dev})"
+            );
+        }
     }
 
     #[test]

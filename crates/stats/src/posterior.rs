@@ -10,13 +10,34 @@
 //! This module evaluates that expectation in two ways: a closed form when both
 //! the prior and the noise are Gaussian, and a grid quadrature against an
 //! arbitrary prior density (e.g. the Agrawal–Srikant reconstructed histogram).
-//! [`PreparedPosterior`] is what UDR runs: under uniform noise it sums the
-//! quadrature only over the grid points inside the noise window, bit for bit
-//! equal to [`grid_posterior_mean`], which stays as the pinned reference.
+//! [`PreparedPosterior`] is what UDR runs, bit for bit equal to
+//! [`grid_posterior_mean`], which stays as the pinned reference.
+//!
+//! Under uniform noise the posterior is the prior conditioned on the window
+//! event `|y − x| ≤ √3·σr`, so a value's answer depends only on which grid
+//! points fall inside its noise window. [`UniformNoiseQuadrature`] therefore
+//! folds every window the grid geometry admits once per attribute and
+//! answers each value by locating its window and reading the table. Three
+//! things keep the reference's bits:
+//!
+//! * **Same products.** The table folds `w_i = (w_trap,i · prior(x_i)) ·
+//!   density` and `x_i · w_i`, the products the reference forms per point.
+//! * **Same fold order.** Each window's sums start at +0 and add its points
+//!   in ascending index, as the reference's loop adds them; the points it
+//!   adds outside the window are ±0 and leave its sums unchanged.
+//! * **The predicate decides every boundary.** A value's window is located
+//!   by an arithmetic guess, but the guess is only a starting point: it is
+//!   walked to the exact boundary with [`Uniform::pdf`]'s own tests, so
+//!   rounding in the guess can cost a step, never a point.
+//!
+//! A window the table does not hold (clipped at a grid end, of an
+//! unexpected length, or without posterior mass) is folded directly, which
+//! also raises the reference's [`StatsError::ZeroPosteriorMass`].
 
 use crate::density::HistogramDensity;
 use crate::distributions::{ContinuousDistribution, Normal, Uniform};
 use crate::error::{Result, StatsError};
+use std::ops::Range;
 
 /// Posterior mean when `X ~ N(mean_x, var_x)` and `R ~ N(0, var_r)`:
 ///
@@ -125,34 +146,70 @@ fn check_grid(low: f64, high: f64, grid_points: usize) -> Result<()> {
 /// deviations: the tolerance-pinned configuration.
 const UDR_GRID_POINTS: usize = 600;
 
-/// [`grid_posterior_mean`] for a fixed prior under uniform noise, with the
-/// per-value work cut to the noise window.
+/// The Gaussian-moments prior variance of an attribute, Theorem 5.1 on the
+/// diagonal: `var(Y) − σ²_r`, clamped at zero, since a non-positive
+/// estimate means the attribute is pure noise. A NaN stays NaN (where
+/// `f64::max` would turn it into 0), so [`PreparedPosterior::gaussian_moments`]
+/// refuses it instead of answering the prior mean for every value.
+pub fn prior_variance(disguised_variance: f64, noise_variance: f64) -> f64 {
+    let var_x = disguised_variance - noise_variance;
+    if var_x.is_nan() {
+        var_x
+    } else {
+        var_x.max(0.0)
+    }
+}
+
+/// [`grid_posterior_mean`] for a fixed prior under uniform noise, answered
+/// per value in constant time from a table of window means.
 ///
-/// Preparation tabulates the grid once: the abscissae `x_i = low + i·h`
-/// and the prior weights `w_trap,i · prior.pdf(x_i)`, which is the product
-/// the reference forms first (its `w_trap * prior_pdf(x) * noise.pdf(y − x)`
-/// evaluates left to right). The uniform density is nonzero only where
+/// **Why a table.** The uniform density is nonzero only where
 /// `lo ≤ y − x_i < hi`, and because `y − x_i` never rises with `i`, those
-/// points form one contiguous index window, found by two binary searches
-/// with [`Uniform::pdf`]'s own predicate. The window is then summed in
-/// ascending `i`, exactly as the reference sums it.
+/// grid points form one contiguous index window `[start, end)`. The
+/// reference adds, at every point outside it, a prior weight (finite,
+/// non-negative) times the density 0: a `w` of +0 and an `x · w` of ±0.
+/// Both sums start at +0 and, rounding to nearest, never become −0, so
+/// those terms leave them as they are, and the answer is the ascending fold
+/// of the window alone. It depends on `y` only through `(start, end)`.
 ///
-/// That sum is bit for bit the reference's. Every term the reference adds
-/// outside the window is a prior weight (finite, non-negative) times the
-/// density 0, so its `w` is +0 and its `x · w` ±0. Both sums start at +0
-/// and, rounding to nearest, never become −0, so adding ±0 leaves them as
-/// they are. A NaN or ±∞ value satisfies the predicate nowhere, so its
-/// window is empty and it fails with the reference's zero-mass error.
+/// **Preparation** tabulates `w_i = (w_trap,i · prior.pdf(x_i)) · density`
+/// and `x_i · w_i`, exactly the products the reference forms (its
+/// `w_trap * prior_pdf(x) * noise.pdf(y − x)` evaluates left to right).
+/// Then, for every start `s` and every window length `ℓ` the geometry
+/// admits, `⌊W/h⌋ − 2 … ⌈W/h⌉ + 2` for the noise width `W = hi − lo` and
+/// the spacing `h`, it folds `[s, s + ℓ)` from +0 in ascending index, as
+/// the reference does, and stores the mean, or NaN where the window has no
+/// posterior mass.
+///
+/// **Per value**, `end` and then `start` are each guessed as
+/// `⌊(y − bound − low)/h⌋ + 1` and walked to the exact partition point with
+/// [`Uniform::pdf`]'s own tests (`y − x ≥ lo`, then `y − x ≥ hi`), so a
+/// rounded guess costs a step, never a point. A NaN or ±∞ value passes the
+/// `lo` test nowhere or everywhere, so its window is empty. The window's
+/// mean is then read from the table. A window the table does not hold (a
+/// length outside it, which a clipped window at a grid end or a grid whose
+/// abscissae repeat can have, or a NaN entry) is folded directly, which
+/// raises the reference's zero-mass error where there is no mass.
 #[derive(Debug, Clone)]
 pub struct UniformNoiseQuadrature {
     /// Grid abscissae `x_i = low + i·h`.
     abscissae: Vec<f64>,
-    /// Prior weights `w_trap,i · prior.pdf(x_i)`.
-    prior_weights: Vec<f64>,
+    /// Posterior weights `w_i = (w_trap,i · prior.pdf(x_i)) · density`.
+    weights: Vec<f64>,
+    /// Weighted abscissae `x_i · w_i`.
+    weighted_abscissae: Vec<f64>,
+    /// The mean of window `[s, s + ℓ)` at `s · lengths + (ℓ − min_len)`,
+    /// NaN where the window has no posterior mass or runs past the grid.
+    window_means: Vec<f64>,
+    /// Shortest tabulated window length.
+    min_len: usize,
+    /// Number of tabulated window lengths (0 for a grid that fails
+    /// [`check_grid`]).
+    lengths: usize,
+    /// `1/h`, for the guessed window boundaries.
+    inverse_spacing: f64,
     /// The uniform noise; its support `[lo, hi)` is the window.
     noise: Uniform,
-    /// The noise density inside its support, as [`Uniform::pdf`] gives it.
-    density: f64,
     /// Lower integration bound.
     low: f64,
     /// Upper integration bound.
@@ -161,11 +218,12 @@ pub struct UniformNoiseQuadrature {
 
 impl UniformNoiseQuadrature {
     /// Tabulates the grid of `grid_points` points over `[low, high]` for
-    /// the prior `prior`.
+    /// the prior `prior`, and the mean of every admitted window.
     fn new(prior: &Normal, noise: Uniform, low: f64, high: f64, grid_points: usize) -> Self {
         let h = (high - low) / (grid_points - 1) as f64;
+        let density = noise.pdf(noise.mean());
         let abscissae: Vec<f64> = (0..grid_points).map(|i| low + i as f64 * h).collect();
-        let prior_weights = abscissae
+        let weights: Vec<f64> = abscissae
             .iter()
             .enumerate()
             .map(|(i, &x)| {
@@ -174,13 +232,47 @@ impl UniformNoiseQuadrature {
                 } else {
                     1.0
                 };
-                w_trap * prior.pdf(x)
+                w_trap * prior.pdf(x) * density
             })
             .collect();
+        let weighted_abscissae: Vec<f64> = abscissae
+            .iter()
+            .zip(&weights)
+            .map(|(&x, &w)| x * w)
+            .collect();
+        let inverse_spacing = 1.0 / h;
+        let (min_len, lengths) = if check_grid(low, high, grid_points).is_ok() {
+            // `as` saturates, so a spacing that underflows cannot wrap.
+            let ratio = (noise.high() - noise.low()) * inverse_spacing;
+            let min_len = (ratio.floor() as usize).saturating_sub(2).max(1);
+            let max_len = (ratio.ceil() as usize).saturating_add(2).min(grid_points);
+            (min_len, (max_len + 1).saturating_sub(min_len))
+        } else {
+            (1, 0)
+        };
+        let mut window_means = vec![f64::NAN; grid_points * lengths];
+        if lengths > 0 {
+            for (start, means) in window_means.chunks_exact_mut(lengths).enumerate() {
+                let end = grid_points.min(start + min_len + lengths - 1);
+                let mut num = 0.0;
+                let mut den = 0.0;
+                for (len, i) in (1..).zip(start..end) {
+                    num += weighted_abscissae[i];
+                    den += weights[i];
+                    if len >= min_len && den > f64::MIN_POSITIVE {
+                        means[len - min_len] = num / den;
+                    }
+                }
+            }
+        }
         UniformNoiseQuadrature {
             abscissae,
-            prior_weights,
-            density: noise.pdf(noise.mean()),
+            weights,
+            weighted_abscissae,
+            window_means,
+            min_len,
+            lengths,
+            inverse_spacing,
             noise,
             low,
             high,
@@ -192,23 +284,72 @@ impl UniformNoiseQuadrature {
     fn posterior_mean(&self, y: f64) -> Result<f64> {
         // A grid that rounds to a point (`high <= low` at a huge mean)
         // fails every value, as it does in the reference.
-        let grid_points = self.abscissae.len();
-        check_grid(self.low, self.high, grid_points)?;
+        check_grid(self.low, self.high, self.abscissae.len())?;
+        let window = self.window(y);
+        match self.table_entry(window.clone()) {
+            Some(mean) => Ok(mean),
+            None => self.fold(y, window),
+        }
+    }
+
+    /// The posterior mean of `y` read from the window table, or `None`
+    /// when the table does not hold `y`'s window and the value is folded
+    /// directly. Where it is `Some`, it is what [`PreparedPosterior::apply`]
+    /// answers.
+    pub fn tabulated_mean(&self, y: f64) -> Option<f64> {
+        self.table_entry(self.window(y))
+    }
+
+    /// The index window where [`Uniform::pdf`] of `y − x_i` is nonzero.
+    fn window(&self, y: f64) -> Range<usize> {
         let (lo, hi) = (self.noise.low(), self.noise.high());
         // `Uniform::pdf` is nonzero where `lo <= y - x < hi`. Every `y - x`
         // before `end` passes `>= lo`, so none is NaN and `>= hi` there is
         // exactly "fails `< hi`".
-        let end = self.abscissae.partition_point(|&x| y - x >= lo);
-        let start = self.abscissae[..end].partition_point(|&x| y - x >= hi);
-        let window = start..end;
+        let end = self.partition_point(y, lo, self.abscissae.len());
+        let start = self.partition_point(y, hi, end);
+        start..end
+    }
+
+    /// The first index below `limit` whose `y − x_i ≥ bound` fails, or
+    /// `limit`: the partition point of that nonincreasing test. The guess
+    /// `⌊(y − bound − low)/h⌋ + 1`, clamped to `0..=limit`, is walked down
+    /// while the point before it fails and up while the point at it passes.
+    fn partition_point(&self, y: f64, bound: f64, limit: usize) -> usize {
+        let passes = |i: usize| y - self.abscissae[i] >= bound;
+        // `as` truncates, which is the floor wherever the guess is not
+        // clamped to 0, and sends NaN to 0 and +∞ to `usize::MAX`.
+        let guess = (y - bound - self.low) * self.inverse_spacing + 1.0;
+        let mut i = (guess as usize).min(limit);
+        while i > 0 && !passes(i - 1) {
+            i -= 1;
+        }
+        while i < limit && passes(i) {
+            i += 1;
+        }
+        i
+    }
+
+    /// The tabulated mean of `window`, if the table holds a finite-mass
+    /// entry for it.
+    fn table_entry(&self, window: Range<usize>) -> Option<f64> {
+        let offset = window.len().wrapping_sub(self.min_len);
+        if offset >= self.lengths {
+            return None;
+        }
+        let mean = self.window_means[window.start * self.lengths + offset];
+        (!mean.is_nan()).then_some(mean)
+    }
+
+    /// The reference's fold over `window` alone, in ascending index.
+    fn fold(&self, y: f64, window: Range<usize>) -> Result<f64> {
         let mut num = 0.0;
         let mut den = 0.0;
-        for (&x, &prior_weight) in self.abscissae[window.clone()]
+        for (&xw, &w) in self.weighted_abscissae[window.clone()]
             .iter()
-            .zip(&self.prior_weights[window])
+            .zip(&self.weights[window])
         {
-            let w = prior_weight * self.density;
-            num += x * w;
+            num += xw;
             den += w;
         }
         if den <= f64::MIN_POSITIVE {
@@ -216,8 +357,8 @@ impl UniformNoiseQuadrature {
                 value: y,
                 low: self.low,
                 high: self.high,
-                spacing: (self.high - self.low) / (grid_points - 1) as f64,
-                noise_window: Some(hi - lo),
+                spacing: (self.high - self.low) / (self.abscissae.len() - 1) as f64,
+                noise_window: Some(self.noise.high() - self.noise.low()),
             });
         }
         Ok(num / den)
@@ -262,20 +403,39 @@ pub enum PreparedPosterior {
 impl PreparedPosterior {
     /// Builds the estimator from Gaussian-moments prior estimates: the
     /// attribute mean `mean_x`, the prior variance `var_x` (already
-    /// noise-corrected and clamped at zero) and the noise variance `var_r`.
+    /// noise-corrected and clamped at zero, see [`prior_variance`]) and the
+    /// noise variance `var_r`.
     ///
     /// `gaussian_noise` selects the closed-form shrinkage path; otherwise
     /// the noise is treated as uniform with the same variance and the
     /// posterior is a grid quadrature (600 points over ±6 combined standard
-    /// deviations, the tolerance-pinned UDR configuration) whose abscissae
-    /// and prior weights are tabulated here, once per attribute; `apply`
-    /// then sums only the grid points inside the value's noise window.
+    /// deviations, the tolerance-pinned UDR configuration) whose grid,
+    /// weights and window means are tabulated here, once per attribute;
+    /// `apply` then locates the value's noise window and reads its mean.
+    ///
+    /// A non-finite `mean_x` or `var_x` (an attribute holding a NaN or ±∞)
+    /// is refused here: every path would otherwise answer NaN for every
+    /// value of the attribute.
     pub fn gaussian_moments(
         mean_x: f64,
         var_x: f64,
         var_r: f64,
         gaussian_noise: bool,
     ) -> Result<Self> {
+        if !mean_x.is_finite() {
+            return Err(StatsError::InvalidParameter {
+                name: "mean_x",
+                value: mean_x,
+                requirement: "finite",
+            });
+        }
+        if !var_x.is_finite() {
+            return Err(StatsError::InvalidParameter {
+                name: "var_x",
+                value: var_x,
+                requirement: "non-negative and finite",
+            });
+        }
         if gaussian_noise {
             // Validate once here so `apply` cannot fail on this path.
             gaussian_posterior_mean(mean_x, mean_x, var_x, var_r)?;

@@ -168,28 +168,8 @@ proptest! {
         values.extend([low - noise.high(), high - noise.low(), high + 1.5 * span]);
 
         for y in values {
-            let got = prepared.apply(y);
             let want = grid_posterior_mean(y, |x| prior.pdf(x), &noise, low, high, 600);
-            match (&got, &want) {
-                (Ok(a), Ok(b)) => prop_assert!(
-                    a.to_bits() == b.to_bits(),
-                    "y = {y}: prepared {a:e} vs reference {b:e}"
-                ),
-                (Err(a), Err(b)) => {
-                    prop_assert!(
-                        std::mem::discriminant(a) == std::mem::discriminant(b),
-                        "y = {y}: {a:?} vs {b:?}"
-                    );
-                    if let (
-                        StatsError::ZeroPosteriorMass { value, spacing, .. },
-                        StatsError::ZeroPosteriorMass { value: v, spacing: s, .. },
-                    ) = (a, b)
-                    {
-                        prop_assert!(value.to_bits() == v.to_bits() && spacing == s);
-                    }
-                }
-                _ => prop_assert!(false, "y = {y}: prepared {got:?} vs reference {want:?}"),
-            }
+            assert_same_answer(y, &prepared.apply(y), &want);
         }
     }
 
@@ -203,4 +183,137 @@ proptest! {
         unique.dedup();
         prop_assert_eq!(unique.len(), seeds.len());
     }
+}
+
+/// Asserts that the prepared posterior's answer `got` for `y` is the
+/// reference's `want`: the same bits, or the same error variant with the
+/// same value and spacing.
+fn assert_same_answer(y: f64, got: &Result<f64, StatsError>, want: &Result<f64, StatsError>) {
+    match (got, want) {
+        (Ok(a), Ok(b)) => assert!(
+            a.to_bits() == b.to_bits(),
+            "y = {y:e}: prepared {a:e} vs reference {b:e}"
+        ),
+        (Err(a), Err(b)) => {
+            assert!(
+                std::mem::discriminant(a) == std::mem::discriminant(b),
+                "y = {y:e}: {a:?} vs {b:?}"
+            );
+            if let (
+                StatsError::ZeroPosteriorMass { value, spacing, .. },
+                StatsError::ZeroPosteriorMass {
+                    value: v,
+                    spacing: s,
+                    ..
+                },
+            ) = (a, b)
+            {
+                assert!(value.to_bits() == v.to_bits() && spacing == s, "y = {y:e}");
+            }
+        }
+        _ => panic!("y = {y:e}: prepared {got:?} vs reference {want:?}"),
+    }
+}
+
+/// Checks UDR's prepared uniform-noise posterior for the prior
+/// `N(mu, sigma_x²)` under uniform noise of standard deviation `sigma_r`
+/// against the full 600-point reference on the values where a window table
+/// and the walk that locates a value's window could go wrong:
+/// - both window edges of every grid index, and their neighbours one ulp
+///   away on either side;
+/// - values whose windows are clipped at the low and at the high grid end;
+/// - `±f64::MAX`, `±1e308`, `±0.0`, the smallest subnormal, NaN and ±∞.
+///
+/// Every answer must be the reference's (see [`assert_same_answer`]). On
+/// a grid whose abscissae are distinct (`distinct_grid`), a value the
+/// reference answers whose window neither grid end clips must also be
+/// answered from the window table.
+fn assert_edges_match_the_reference(mu: f64, sigma_x: f64, sigma_r: f64, distinct_grid: bool) {
+    let (var_x, var_r) = (sigma_x * sigma_x, sigma_r * sigma_r);
+    let prepared = PreparedPosterior::gaussian_moments(mu, var_x, var_r, false).unwrap();
+    let PreparedPosterior::Quadrature(quadrature) = &prepared else {
+        panic!("uniform noise with a positive prior variance is a quadrature");
+    };
+    let prior = Normal::new(mu, var_x.sqrt()).unwrap();
+    let noise = Uniform::centered_with_std(var_r.sqrt()).unwrap();
+    let span = 6.0 * (var_x.sqrt() + var_r.sqrt());
+    let (low, high) = (mu - span, mu + span);
+    let h = (high - low) / 599.0;
+    let (lo, hi) = (noise.low(), noise.high());
+
+    let mut values = Vec::new();
+    for i in 0..600 {
+        let x = low + i as f64 * h;
+        for edge in [x + lo, x + hi] {
+            values.extend([edge.next_down(), edge, edge.next_up()]);
+        }
+    }
+    for k in 0..=8 {
+        let t = k as f64 / 8.0;
+        values.extend([low + lo + t * (hi - lo), high + lo + t * (hi - lo)]);
+    }
+    values.extend([
+        f64::MAX,
+        -f64::MAX,
+        1e308,
+        -1e308,
+        0.0,
+        -0.0,
+        f64::from_bits(1),
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ]);
+
+    let mut tabulated = 0;
+    for &y in &values {
+        let want = grid_posterior_mean(y, |x| prior.pdf(x), &noise, low, high, 600);
+        assert_same_answer(y, &prepared.apply(y), &want);
+        let table = quadrature.tabulated_mean(y);
+        if let Some(mean) = table {
+            let reference = want.as_ref().map(|v| v.to_bits());
+            assert_eq!(Ok(mean.to_bits()), reference, "y = {y:e}");
+            tabulated += 1;
+        }
+        let unclipped = y - hi > low + h && y - lo < high - h;
+        if distinct_grid && unclipped && want.is_ok() {
+            assert!(
+                table.is_some(),
+                "y = {y:e}: an unclipped window is not tabulated"
+            );
+        }
+    }
+    if distinct_grid {
+        assert!(tabulated > 0, "no value was answered from the table");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The window table and the walk that locates each value's window
+    /// agree with the full-grid reference on every edge of the grid, with
+    /// σx/σr over six decades: grids far coarser than the noise window as
+    /// well as windows holding over a quarter of the grid.
+    #[test]
+    fn prepared_uniform_posterior_matches_the_reference_on_grid_edges(
+        mu in -100.0f64..100.0,
+        log_sigma_r in -2.0f64..2.0,
+        log_ratio in -3.0f64..3.0,
+    ) {
+        let sigma_r = 10f64.powf(log_sigma_r);
+        assert_edges_match_the_reference(mu, sigma_r * 10f64.powf(log_ratio), sigma_r, true);
+    }
+}
+
+/// The edge check on two fixed geometries: a grid whose abscissae repeat
+/// (at mean 1e17 neighbouring doubles are 16 apart, so the 600 points
+/// round onto three values and a window holds a whole run of them), and
+/// windows narrower than the grid spacing (σx = 300·σr), which hold at
+/// most one point.
+#[test]
+fn prepared_uniform_posterior_matches_the_reference_on_degenerate_grids() {
+    assert_edges_match_the_reference(1e17, 1.0, 1.0, false);
+    assert_edges_match_the_reference(3.0, 300.0, 1.0, true);
+    assert_edges_match_the_reference(-7.0, 3e4, 0.5, true);
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Runs the `micro` benchmark harness and dumps every measurement to a JSON
-# file (default BENCH_15.json at the repo root) for the perf trajectory.
+# file (default BENCH_16.json at the repo root) for the perf trajectory.
 #
 # Usage: scripts/bench_to_json.sh [output.json]
 #
@@ -21,23 +21,24 @@
 # >=1.3x); and the `csv` codec ratios, the banded parser and formatter vs
 # the per-line and per-value seed loops on one 8192 x 64 chunk
 # (`csv_parse/8192` vs `csv_parse_seed/8192`, >=2.7x; `csv_format/8192`
-# vs `csv_format_seed/8192`, >=5.6x); and the `posterior` ratio, UDR's
-# window-summed uniform-noise posterior vs the full-grid reference over
-# 20 000 values (`udr_uniform/20000` vs `udr_uniform_reference/20000`,
-# >=10x); and the `mvn` ratio, one 8192 x 64 chunk drawn in one buffer
+# vs `csv_format_seed/8192`, >=5.6x); and the two `posterior` ratios,
+# UDR's tabulated uniform-noise posterior over 20 000 values vs the
+# full-grid reference (`udr_uniform/20000` vs
+# `udr_uniform_reference/20000`, >=10x) and vs the per-value window loop
+# it replaced (`udr_uniform_window_seed/20000`, >=4x); and the `mvn` ratio, one 8192 x 64 chunk drawn in one buffer
 # and transformed in place through L's lower triangle vs the two-buffer
 # `Z * L^T` path (`sample_matrix/8192` vs `sample_matrix_gebp_seed/8192`,
 # >=1.15x); and the `streaming_group` ratio, pass 2 of one five-scheme
 # streaming workload group as one group pass vs the per-member loop it
 # replaced (`per_member/5` vs `group/5`, >=2x).
-# BENCH_1.json … BENCH_14.json are frozen records of earlier states of the
+# BENCH_1.json … BENCH_15.json are frozen records of earlier states of the
 # code; pass one of them as the argument only to regenerate history
 # deliberately.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_15.json}"
+out="${1:-BENCH_16.json}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
@@ -130,7 +131,10 @@ for step, bound in (("parse", 2.7), ("format", 5.6)):
 new = results.get(("posterior", "udr_uniform/20000"))
 old = results.get(("posterior", "udr_uniform_reference/20000"))
 if new and old:
-    print(f"udr uniform-noise posterior, 20000 values: full grid {old/1e6:.2f} ms -> noise window {new/1e6:.2f} ms  ({old/new:.2f}x)  {verdict('posterior', old / new >= 10, '>=10x')}")
+    print(f"udr uniform-noise posterior, 20000 values: full grid {old/1e6:.2f} ms -> window table {new/1e6:.2f} ms  ({old/new:.2f}x)  {verdict('posterior', old / new >= 10, '>=10x')}")
+seed = results.get(("posterior", "udr_uniform_window_seed/20000"))
+if new and seed:
+    print(f"udr uniform-noise posterior, 20000 values: per-value window loop {seed/1e6:.2f} ms -> window table {new/1e6:.2f} ms  ({seed/new:.2f}x)  {verdict('posterior window', seed / new >= 4, '>=4x')}")
 new = results.get(("mvn", "sample_matrix/8192"))
 old = results.get(("mvn", "sample_matrix_gebp_seed/8192"))
 if new and old:
